@@ -31,7 +31,9 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .events import Event, GuardError, ParseError, SampleSpace, SpaceMismatchError
+from .events import (Event, GuardError, ParseError, SampleSpace,
+                     SpaceMismatchError, bit_indices)
+from .measure import PreclusionSet
 
 __all__ = [
     'TRUTH_TABLE_GUARD',
@@ -47,8 +49,7 @@ TRUTH_TABLE_GUARD = 16  # truth tables hold 2^n entries
 
 def _mono_key(mask: int) -> tuple[int, tuple[int, ...]]:
     # canonical monomial order: degree, then member indices lexicographically
-    return (mask.bit_count(),
-            tuple(i for i in range(mask.bit_length()) if mask >> i & 1))
+    return (mask.bit_count(), tuple(bit_indices(mask)))
 
 
 def _anf_masks(table: list[int], n: int) -> frozenset[int]:
@@ -192,7 +193,25 @@ class Coevent:
         return len(self.masks) == 1 and next(iter(self.masks)).bit_count() == 1
 
     def is_preclusive(self, precluded: Iterable[Event]) -> bool:
-        """True iff φ maps every precluded event to 0."""
+        """True iff φ maps every precluded event to 0.
+
+        A :class:`PreclusionSet` is checked for its space once and then
+        evaluated on its bitmasks directly.
+        """
+        if isinstance(precluded, PreclusionSet):
+            if precluded.space != self.space:
+                raise SpaceMismatchError(
+                    'preclusion set belongs to a different sample space')
+            # the evaluation of __call__, inlined: the solvers' self-checks
+            # run it once per precluded event per answer
+            for z in precluded.masks:
+                parity = 0
+                for m in self.masks:
+                    if m & z == m:
+                        parity ^= 1
+                if parity:
+                    return False
+            return True
         return all(self(z) == 0 for z in precluded)
 
     def __eq__(self, other: object) -> bool:
@@ -231,8 +250,7 @@ def render_coevent(phi: Coevent) -> str:
         if m == 0:
             parts.append('1')
         else:
-            parts.append(''.join(names[i] + '*'
-                                 for i in range(m.bit_length()) if m >> i & 1))
+            parts.append(''.join(names[i] + '*' for i in bit_indices(m)))
     return '+'.join(parts)
 
 

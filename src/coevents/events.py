@@ -67,6 +67,14 @@ class ParseError(ValueError):
         self.position = position
 
 
+def bit_indices(mask: int) -> Iterator[int]:
+    """Positions of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _check_same_space(a: Event, b: Event) -> None:
     if a.space != b.space:
         raise SpaceMismatchError('operands belong to different sample spaces')
@@ -164,7 +172,7 @@ class Event:
     @property
     def indices(self) -> tuple[int, ...]:
         """Member history positions, ascending."""
-        return tuple(i for i in range(self.space.size) if self.bits >> i & 1)
+        return tuple(bit_indices(self.bits))
 
     @property
     def labels(self) -> tuple[str, ...]:

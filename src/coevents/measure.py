@@ -13,6 +13,10 @@ is a sum of outer products and is always strongly positive.  Amplitudes
 are used unnormalised: preclusion is scale invariant, so overall constants
 are irrelevant and dropping them keeps the arithmetic rational.
 
+Deriving the preclusions and checking positivity and absorption each
+enumerate all 2^n events, so all three refuse spaces of more than
+``MEASURE_GUARD`` histories with a :class:`GuardError` before any work.
+
 A :class:`PreclusionSet` records the events of measure zero, whether
 computed from a matrix or declared outright; the empty event always
 belongs to it.
@@ -32,9 +36,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
-from .events import Event, ParseError, SampleSpace, SpaceMismatchError
+from .events import (Event, GuardError, ParseError, SampleSpace,
+                     SpaceMismatchError, bit_indices)
 
 __all__ = [
+    'MEASURE_GUARD',
     'DecoherenceMatrix',
     'GaussianRational',
     'PreclusionSet',
@@ -44,6 +50,8 @@ __all__ = [
 ]
 
 Rational = Fraction
+
+MEASURE_GUARD = 14  # preclusions, positivity and absorption enumerate all 2^n events
 
 _Scalar = Union['GaussianRational', Fraction, int]
 
@@ -253,13 +261,22 @@ class DecoherenceMatrix:
         assert total.im == 0
         return total.re
 
+    def _guard(self, work: str) -> None:
+        n = self.space.size
+        if n > MEASURE_GUARD:
+            raise GuardError(
+                f'{work} over {n} histories would enumerate 2^{n} = {1 << n} events, '
+                f'past MEASURE_GUARD of {MEASURE_GUARD} histories')
+
     def preclusions(self) -> 'PreclusionSet':
         """All events of measure zero.  Cost grows as 4^n."""
+        self._guard('preclusion derivation')
         null = [ev for ev in self.space.events() if self.measure(ev) == 0]
         return PreclusionSet(self.space, null, provenance='measure')
 
     def is_strongly_positive(self) -> bool:
         """Exact positive semidefiniteness: every principal minor is >= 0."""
+        self._guard('strong-positivity check')
         n = self.space.size
         for subset in range(1, 1 << n):
             idx = [i for i in range(n) if subset >> i & 1]
@@ -271,6 +288,7 @@ class DecoherenceMatrix:
 
     def null_absorption_holds(self) -> bool:
         """μ(A ∪ N) = μ(A) for every null N disjoint from A, checked exhaustively."""
+        self._guard('null-absorption check')
         full = (1 << self.space.size) - 1
         mu = {ev.bits: self.measure(ev) for ev in self.space.events()}
         for null_bits, value in mu.items():
@@ -317,7 +335,7 @@ class PreclusionSet:
     space and the event family only.
     """
 
-    __slots__ = ('space', 'masks', 'provenance')
+    __slots__ = ('space', 'masks', 'provenance', '_events')
 
     def __init__(self, space: SampleSpace, events: Iterable[Event] = (),
                  provenance: str = 'explicit'):
@@ -333,6 +351,7 @@ class PreclusionSet:
         self.space = space
         self.masks = frozenset(masks)
         self.provenance = provenance
+        self._events: tuple[Event, ...] | None = None
 
     @classmethod
     def explicit(cls, space: SampleSpace, events: Iterable[Event]) -> 'PreclusionSet':
@@ -340,9 +359,12 @@ class PreclusionSet:
 
     @property
     def events(self) -> tuple[Event, ...]:
-        """Member events sorted by (size, member indices)."""
-        order = sorted(self.masks, key=lambda m: (m.bit_count(), _indices(m)))
-        return tuple(Event(self.space, m) for m in order)
+        """Member events sorted by (size, member indices); sorted once."""
+        if self._events is None:
+            order = sorted(self.masks,
+                           key=lambda m: (m.bit_count(), tuple(bit_indices(m))))
+            self._events = tuple(Event(self.space, m) for m in order)
+        return self._events
 
     def __contains__(self, event: Event) -> bool:
         return (isinstance(event, Event) and event.space == self.space
@@ -380,7 +402,3 @@ class PreclusionSet:
         for m in self.masks:
             union |= m
         return len(self.masks) == 1 << union.bit_count()
-
-
-def _indices(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)

@@ -8,8 +8,14 @@ multiplicative
     Monomial coevents F* with F contained in no precluded event, F minimal.
     Equivalently, F must intersect the complement of every precluded event,
     so the answers are the inclusion-minimal transversals of those
-    complements.  If the whole space is precluded nothing qualifies and the
-    result is reported empty rather than raising.
+    complements.  They are enumerated by MMCS (Murakami & Uno, "Efficient
+    algorithms for dualizing large-scale hypergraphs", 2014): a depth-first
+    search that branches on the uncovered edge with the fewest candidates
+    and keeps, for every chosen history, the edges it alone hits; a history
+    whose addition would leave some member without such a critical edge is
+    never added, so every leaf is a minimal transversal and each is reached
+    once.  If the whole space is precluded the empty edge admits nothing
+    and the result is reported empty rather than raising.
 
 linear
     Sums of classical coevents.  Preclusivity means every precluded event
@@ -18,7 +24,18 @@ linear
     computed first and the unital ones (odd support) are kept, matching
     the convention that minimality is judged before unitality; pass
     ``minimal_among_unital=True`` for the nonstandard alternative that
-    restricts the minimality comparison to unital solutions.
+    restricts the minimality comparison to unital solutions (both give the
+    same coevents, since the solutions form a subspace).  Histories whose
+    columns in the row-reduced system are equal are interchangeable, so a
+    minimal support is a single history of zero column, two histories of
+    one column class, or a minimal solution of the reduced system (one
+    position per distinct nonzero column) with one member chosen per
+    class.  Only the reduced system's 2^(m - rank) solutions are walked,
+    m the number of distinct nonzero columns, and each is tested locally
+    for minimality by the rank criterion for minimal codewords (Ashikhmin
+    & Barg, "Minimal vectors in linear codes", 1998): its columns have
+    rank one less than its size.  ``NULLSPACE_GUARD`` still bounds the
+    nullity of the unreduced system, checked before the walk.
 
 ideal
     A set of preclusive coevents generating, as a ring ideal, all
@@ -37,10 +54,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from itertools import product
+from math import prod
+from typing import Iterable, Mapping
 
 from .coevent import Coevent, _anf_masks, monomial
-from .events import Event, GuardError
+from .events import Event, GuardError, bit_indices
 from .measure import PreclusionSet
 
 __all__ = [
@@ -59,7 +78,7 @@ __all__ = [
 ]
 
 IDEAL_SEARCH_GUARD = 4   # the cover search ranges over up to 2^(2^n - 1) candidates
-NULLSPACE_GUARD = 20     # the linear scheme enumerates 2^nullity solutions
+NULLSPACE_GUARD = 20     # caps the nullity, and with it the linear scheme's reduced walk
 
 ALWAYS_TRUE = 'always-true'
 ALWAYS_FALSE = 'always-false'
@@ -77,7 +96,12 @@ class SchemeResult:
     is that minimum (None when everything is precluded), and
     `uncovered_by_unital` lists the non-precluded events not covered by any
     unital member.  `diagnostics` carries deterministic search counters;
-    wall time is kept out of it so rendered output is reproducible.
+    wall time is kept out of it so rendered output is reproducible.  For
+    the multiplicative scheme `candidates_examined` counts the nodes of the
+    MMCS search; for the linear scheme `solutions_examined` counts the
+    nonzero solutions of the reduced system, 2^(m - rank) - 1, and
+    `minimal_supports` the minimal supports of the full system, odd and
+    even (odd only with ``minimal_among_unital``).
     """
 
     scheme: str
@@ -98,24 +122,17 @@ def _canonical(coevents: Iterable[Coevent]) -> tuple[Coevent, ...]:
     return tuple(sorted(set(coevents), key=str))
 
 
-def _bit_indices(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _inclusion_minimal(masks: Iterable[int]) -> list[int]:
-    """Antichain of inclusion-minimal bitmasks."""
-    kept: list[int] = []
-    for m in sorted(set(masks), key=lambda x: (x.bit_count(), x)):
-        if not any(k & m == k for k in kept):
-            kept.append(m)
-    return kept
-
-
-def _is_antichain(masks: Sequence[int]) -> bool:
-    return not any(a != b and a & b == a for a in masks for b in masks)
+def _echelon(vectors: Iterable[int]) -> dict[int, int]:
+    """GF(2) echelon basis of bitmask vectors, keyed by leading bit."""
+    basis: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in basis:
+                basis[top] = v
+                break
+            v ^= basis[top]
+    return basis
 
 
 def multiplicative_scheme(preclusions: PreclusionSet) -> SchemeResult:
@@ -125,25 +142,48 @@ def multiplicative_scheme(preclusions: PreclusionSet) -> SchemeResult:
     full = (1 << space.size) - 1
     edges = sorted({full & ~z for z in preclusions.masks},
                    key=lambda e: (e.bit_count(), e))
-    transversals = [0]
-    examined = 0
-    for edge in edges:
-        extended: list[int] = []
-        for t in transversals:
-            if t & edge:
-                extended.append(t)
-            else:
-                extended.extend(t | (1 << v) for v in _bit_indices(edge))
-        examined += len(extended)
-        transversals = _inclusion_minimal(extended)
-    assert _is_antichain(transversals)
+    # occurs[v]: the edges containing history v, as a bitmask over edge indices
+    occurs = [0] * space.size
+    for k, edge in enumerate(edges):
+        for v in bit_indices(edge):
+            occurs[v] |= 1 << k
+    transversals: list[int] = []
+    nodes = 0
+
+    def search(chosen: int, cand: int, uncovered: int,
+               crit: dict[int, int]) -> None:
+        # crit[u]: the edges that u alone of `chosen` hits
+        nonlocal nodes
+        nodes += 1
+        if not uncovered:
+            transversals.append(chosen)
+            return
+        branch = min((edges[k] & cand for k in bit_indices(uncovered)),
+                     key=int.bit_count)
+        cand &= ~branch
+        for v in bit_indices(branch):
+            hits = occurs[v]
+            narrowed = {u: c & ~hits for u, c in crit.items()}
+            if all(narrowed.values()):  # every member keeps a critical edge
+                narrowed[v] = uncovered & hits
+                search(chosen | 1 << v, cand, uncovered & ~hits, narrowed)
+            cand |= 1 << v
+
+    search(0, full, (1 << len(edges)) - 1, {})
+    for t in transversals:
+        # each member is the only member of t in some edge, so t is minimal
+        once = twice = 0
+        for v in bit_indices(t):
+            twice |= once & occurs[v]
+            once |= occurs[v]
+        assert all(occurs[v] & once & ~twice for v in bit_indices(t))
     coevents = _canonical(monomial(Event(space, t)) for t in transversals)
     assert all(phi.is_preclusive(preclusions) for phi in coevents)
     return SchemeResult(
         scheme='multiplicative',
         coevents=coevents,
         total_complexity=sum(phi.complexity for phi in coevents),
-        diagnostics={'edges': len(edges), 'candidates_examined': examined,
+        diagnostics={'edges': len(edges), 'candidates_examined': nodes,
                      'transversals': len(transversals)},
         wall_time_s=time.perf_counter() - start)
 
@@ -156,59 +196,74 @@ def linear_scheme(preclusions: PreclusionSet, *,
     n = space.size
 
     # row reduce the even-overlap constraints over GF(2)
-    pivots: dict[int, int] = {}
-    for z in sorted(preclusions.masks):
-        row = z
-        while row:
-            col = row.bit_length() - 1
-            if col in pivots:
-                row ^= pivots[col]
-            else:
-                pivots[col] = row
-                break
+    pivots = _echelon(sorted(preclusions.masks))
     for col in sorted(pivots, reverse=True):
         row = pivots[col]
         for other_col, other_row in list(pivots.items()):
             if other_col != col and other_row >> col & 1:
                 pivots[other_col] = other_row ^ row
 
-    free_cols = [c for c in range(n) if c not in pivots]
-    if len(free_cols) > NULLSPACE_GUARD:
+    nullity = n - len(pivots)
+    if nullity > NULLSPACE_GUARD:
         raise GuardError(
-            f'nullspace dimension {len(free_cols)} exceeds the guard of {NULLSPACE_GUARD}')
-    basis = []
-    for f in free_cols:
-        vector = 1 << f
+            f'nullspace dimension {nullity} exceeds the guard of {NULLSPACE_GUARD}')
+
+    # histories with equal reduced columns (bitmasks over the pivot
+    # columns) are interchangeable; a pivot history's column is its own bit
+    classes: dict[int, list[int]] = {}
+    for j in range(n):
+        column = 0
         for col, row in pivots.items():
-            if row >> f & 1:
-                vector |= 1 << col
-        basis.append(vector)
+            if row >> j & 1:
+                column |= 1 << col
+        classes.setdefault(column, []).append(j)
+    zero_column = classes.pop(0, [])
+    columns = sorted(classes)
+    position = {c: k for k, c in enumerate(columns)}
+    # reduced system: one position per distinct nonzero column; each
+    # non-pivot column plus the pivots it names sums to zero
+    basis = [1 << position[c] | sum(1 << position[1 << p] for p in bit_indices(c))
+             for c in columns if c.bit_count() > 1]
+    reduced_minimal: list[int] = []
+    solution = 0
+    for i in range(1, 1 << len(basis)):  # Gray-code walk over the nonzero solutions
+        solution ^= basis[(i & -i).bit_length() - 1]
+        # minimal codeword: its columns have rank one less than its size
+        rank = len(_echelon(columns[k] for k in bit_indices(solution)))
+        if rank == solution.bit_count() - 1:
+            reduced_minimal.append(solution)
 
-    solutions = [0]
-    for b in basis:
-        solutions += [s ^ b for s in solutions]
-    nonzero = [s for s in solutions if s]
-    assert all(all((s & z).bit_count() % 2 == 0 for z in preclusions.masks)
-               for s in nonzero)
+    def expansions(t: int) -> int:  # supports the reduced solution t stands for
+        return prod(len(classes[columns[k]]) for k in bit_indices(t))
 
-    if minimal_among_unital:
-        minimal = _inclusion_minimal(s for s in nonzero if s.bit_count() & 1)
-        chosen = minimal
-    else:
-        minimal = _inclusion_minimal(nonzero)
-        chosen = [s for s in minimal if s.bit_count() & 1]
+    # minimal among the odd solutions is the same as odd and minimal: an odd
+    # S strictly containing an even solution T also contains the odd S + T
+    odd_minimal = [t for t in reduced_minimal if t.bit_count() & 1]
+    minimal_count = len(zero_column) + sum(expansions(t) for t in odd_minimal)
+    if not minimal_among_unital:
+        # the even minimal supports: same-class pairs and even reduced solutions
+        minimal_count += sum(len(c) * (len(c) - 1) // 2 for c in classes.values())
+        minimal_count += sum(expansions(t) for t in reduced_minimal
+                             if not t.bit_count() & 1)
+    chosen = [1 << j for j in zero_column]
+    for t in odd_minimal:
+        for members in product(*(classes[columns[k]] for k in bit_indices(t))):
+            chosen.append(sum(1 << j for j in members))
 
+    rows = list(pivots.values())
+    for s in chosen:  # minimal; is_preclusive below checks the even overlaps
+        assert len(_echelon(row & s for row in rows)) == s.bit_count() - 1
     coevents = _canonical(
-        Coevent._raw(space, frozenset(1 << i for i in _bit_indices(s)))
+        Coevent._raw(space, frozenset(1 << i for i in bit_indices(s)))
         for s in chosen)
     assert all(phi.is_preclusive(preclusions) for phi in coevents)
     return SchemeResult(
         scheme='linear',
         coevents=coevents,
         total_complexity=sum(phi.complexity for phi in coevents),
-        diagnostics={'nullspace_dimension': len(free_cols),
-                     'solutions_examined': len(nonzero),
-                     'minimal_supports': len(minimal)},
+        diagnostics={'nullspace_dimension': nullity,
+                     'solutions_examined': (1 << len(basis)) - 1,
+                     'minimal_supports': minimal_count},
         wall_time_s=time.perf_counter() - start)
 
 
@@ -260,9 +315,9 @@ def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
     weights = [c[0] for c in candidates]
     covers = [c[1] for c in candidates]
 
-    by_element: dict[int, list[int]] = {e: [] for e in _bit_indices(universe)}
+    by_element: dict[int, list[int]] = {e: [] for e in bit_indices(universe)}
     for idx, tt in enumerate(covers):
-        for e in _bit_indices(tt):
+        for e in bit_indices(tt):
             by_element[e].append(idx)
     min_weight_for = {e: weights[lst[0]] for e, lst in by_element.items()}
 
@@ -271,7 +326,7 @@ def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
     nodes = 0
 
     def lower_bound(uncovered: int) -> int:
-        return max(min_weight_for[e] for e in _bit_indices(uncovered))
+        return max(min_weight_for[e] for e in bit_indices(uncovered))
 
     def search(covered: int, weight: int, chosen: tuple[int, ...]) -> None:
         nonlocal best_weight, nodes
@@ -286,7 +341,7 @@ def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
         uncovered = universe & ~covered
         if best_weight is not None and weight + lower_bound(uncovered) > best_weight:
             return
-        element = min(_bit_indices(uncovered), key=lambda e: len(by_element[e]))
+        element = min(bit_indices(uncovered), key=lambda e: len(by_element[e]))
         for idx in by_element[element]:
             if best_weight is not None and weight + weights[idx] > best_weight:
                 break  # candidate lists are sorted by weight
@@ -317,7 +372,7 @@ def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
                 covered_by_unital |= 1 << a
     uncovered = universe & ~covered_by_unital
     uncovered_events = tuple(
-        Event(space, a) for a in sorted(_bit_indices(uncovered),
+        Event(space, a) for a in sorted(bit_indices(uncovered),
                                         key=lambda m: (m.bit_count(), m)))
 
     return SchemeResult(

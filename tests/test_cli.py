@@ -137,6 +137,25 @@ def test_check_oracle_guard_skip(capsys):
     assert 'oracle ideal: skipped (n=4 exceeds guard 3)' in out
 
 
+@pytest.mark.parametrize('argv', [
+    ('preclusions',),
+    ('check',),
+    ('check', '--strong-positivity'),
+    ('solve', '--scheme', 'multiplicative'),
+])
+def test_measure_guard_exits_2(tmp_path, capsys, argv):
+    labels = [f'h{i}' for i in range(15)]
+    f = tmp_path / 'scn'
+    f.write_text('histories ' + ' '.join(labels) + '\n'
+                 + ''.join(f'amplitude {l} {(-1) ** i}\n' for i, l in enumerate(labels)))
+    code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+    assert code == 2
+    assert out == ''
+    assert err.startswith('error: ')
+    assert 'over 15 histories would enumerate 2^15 = 32768 events, ' \
+           'past MEASURE_GUARD of 14 histories' in err
+
+
 def test_malformed_scenario_reports_diagnostics(tmp_path, capsys):
     f = tmp_path / 'scn'
     f.write_text('histories a b\namplitude a 1/0\namplitude b 1\nbogus\n')

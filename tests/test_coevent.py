@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from coevents import (Coevent, GuardError, ParseError, SampleSpace, classical,
-                      monomial, parse_coevent, render_coevent)
+from coevents import (Coevent, GuardError, ParseError, PreclusionSet,
+                      SampleSpace, SpaceMismatchError, classical, monomial,
+                      parse_coevent, render_coevent)
 
 
 def coevent_of_masks(space, masks):
@@ -146,6 +147,19 @@ def test_is_preclusive(abc):
     precluded = [abc.event(['a', 'c']), abc.event(['b', 'c'])]
     assert parse_coevent('a*b*', abc).is_preclusive(precluded)
     assert not parse_coevent('a*', abc).is_preclusive(precluded)
+
+
+def test_is_preclusive_on_a_preclusion_set(abc, xy):
+    # the bitmask path agrees with evaluating on the listed events
+    rng = random.Random(8)
+    masks = list(range(1 << abc.size))
+    for _ in range(200):
+        p = PreclusionSet.explicit(
+            abc, [ev for ev in abc.events() if rng.random() < 0.3])
+        phi = coevent_of_masks(abc, rng.sample(masks, rng.randint(0, 4)))
+        assert phi.is_preclusive(p) == phi.is_preclusive(list(p.events))
+    with pytest.raises(SpaceMismatchError):
+        classical(xy.atom('x')).is_preclusive(PreclusionSet.explicit(abc, []))
 
 
 def test_render(abc):

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from coevents import (DecoherenceMatrix, GaussianRational, ParseError,
-                      PreclusionSet, SampleSpace, SpaceMismatchError,
-                      parse_complex, render_complex)
+from coevents import (DecoherenceMatrix, GaussianRational, GuardError,
+                      ParseError, PreclusionSet, SampleSpace,
+                      SpaceMismatchError, parse_complex, render_complex)
+from coevents import measure
 
 
 def gr(re, im=0):
@@ -170,6 +171,36 @@ class TestDecoherenceMatrix:
         assert not d.null_absorption_holds()
 
 
+def over_guard_matrix():
+    n = measure.MEASURE_GUARD + 1
+    space = SampleSpace(f'h{i}' for i in range(n))
+    return DecoherenceMatrix.from_amplitudes(space, [1, -1] * (n // 2) + [1] * (n % 2))
+
+
+@pytest.mark.parametrize('method, work', [
+    ('preclusions', 'preclusion derivation'),
+    ('is_strongly_positive', 'strong-positivity check'),
+    ('null_absorption_holds', 'null-absorption check'),
+])
+class TestMeasureGuard:
+
+    def test_refused_on_entry(self, method, work):
+        # 15 histories: the unguarded enumeration would run for minutes
+        with pytest.raises(GuardError) as excinfo:
+            getattr(over_guard_matrix(), method)()
+        assert str(excinfo.value) == (
+            f'{work} over 15 histories would enumerate 2^15 = 32768 events, '
+            'past MEASURE_GUARD of 14 histories')
+
+    def test_guard_is_inclusive(self, method, work, monkeypatch):
+        monkeypatch.setattr(measure, 'MEASURE_GUARD', 4)
+        _, d = two_slit_matrix()  # n = 4 is still allowed
+        getattr(d, method)()
+        d5 = DecoherenceMatrix.from_amplitudes(SampleSpace('abcde'), [1, 1, -1, 1, 2])
+        with pytest.raises(GuardError, match='past MEASURE_GUARD of 4 histories'):
+            getattr(d5, method)()
+
+
 class TestPreclusionSet:
 
     def test_always_contains_empty(self, abc):
@@ -182,6 +213,7 @@ class TestPreclusionSet:
             abc, [abc.event(['b', 'c']), abc.event(['a']), abc.event(['a', 'c'])])
         assert [str(ev) for ev in p.events] == ['{}', '{a}', '{a c}', '{b c}']
         assert list(p) == list(p.events)
+        assert p.events is p.events  # sorted once
 
     def test_membership(self, abc):
         p = PreclusionSet.explicit(abc, [abc.event(['a'])])

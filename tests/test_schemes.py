@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from coevents import (ALWAYS_FALSE, ALWAYS_TRUE, CONTINGENT, VACUOUS,
+from coevents import (ALWAYS_FALSE, ALWAYS_TRUE, CONTINGENT, VACUOUS, Event,
                       GuardError, SampleSpace, ideal_generator, ideal_scheme,
                       infer, linear_scheme, multiplicative_scheme,
                       parse_coevent, parse_event)
@@ -107,6 +107,114 @@ class TestLinear:
     def test_nullspace_diagnostic(self, two_slit):
         result = linear_scheme(two_slit.preclusion_set())
         assert result.diagnostics['nullspace_dimension'] == 3
+
+
+# -- pinned corpus against brute force over all 2^n events --------------------
+
+def _closure(flags, n, upward):
+    """Close a 2^n flag table over subsets (downward) or supersets (upward)."""
+    flags = list(flags)
+    for i in range(n):
+        bit = 1 << i
+        for a in range(1 << n):
+            if a & bit:
+                if upward and flags[a ^ bit]:
+                    flags[a] = True
+                elif not upward and flags[a]:
+                    flags[a ^ bit] = True
+    return flags
+
+
+def _members(mask):
+    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def brute_transversals(masks, n):
+    """Minimal F contained in no precluded event."""
+    inside = _closure([a in masks for a in range(1 << n)], n, upward=False)
+    return {f for f in range(1 << n)
+            if not inside[f] and all(inside[f ^ b] for b in _members(f))}
+
+
+def brute_supports(masks, n, minimal_among_unital):
+    """(odd minimal supports, number of minimal supports) of the even-overlap system."""
+    solution = [s and all((s & z).bit_count() % 2 == 0 for z in masks)
+                and (not minimal_among_unital or s.bit_count() % 2 == 1)
+                for s in range(1 << n)]
+    above = _closure(solution, n, upward=True)  # some solution lies inside
+    minimal = [s for s in range(1 << n)
+               if solution[s] and not any(above[s ^ b] for b in _members(s))]
+    return {s for s in minimal if s.bit_count() % 2 == 1}, len(minimal)
+
+
+def pinned_corpus():
+    """Seeded explicit preclusion sets, n = 5..12, with the kinds of column
+    structure the linear class reduction distinguishes."""
+    rng = random.Random(20070301)
+    for n in range(5, 13):
+        full = (1 << n) - 1
+        for case in range(12):
+            if case < 4:
+                # three to five constraints and distinct columns: a reduced
+                # system with many solutions
+                absent, twin_of, density, count = 0, {}, 0.5, rng.randint(3, 5)
+            else:
+                absent = sum(1 << i for i in range(n) if rng.random() < 0.1)
+                twin_of = {i: rng.randrange(i) for i in range(1, n) if rng.random() < 0.2}
+                density = rng.choice((0.3, 0.5, 0.7))
+                count = rng.choice((1, 2, 3, 5, 8, 16, 40))
+            masks = set()
+            for _ in range(count):
+                m = sum(1 << i for i in range(n) if rng.random() < density)
+                for i, j in twin_of.items():  # j < i, so chains copy through
+                    m = m & ~(1 << i) | (m >> j & 1) << i
+                masks.add(m & ~absent)
+            if case == 11:
+                masks.add(full)
+            yield n, masks
+
+
+class TestPinnedCorpus:
+
+    def test_both_solvers_match_brute_force(self):
+        seen = {'zero column': 0, 'duplicated column': 0, 'everything precluded': 0,
+                'reduced nullity >= 3': 0}
+        for n, masks in pinned_corpus():
+            space = SampleSpace(f'h{i}' for i in range(n))
+            p = PreclusionSet.explicit(space, [Event(space, m) for m in masks])
+            union = 0
+            for z in p.masks:
+                union |= z
+            columns = [frozenset(z for z in p.masks if z >> i & 1) for i in range(n)]
+            seen['zero column'] += union != (1 << n) - 1
+            seen['duplicated column'] += len(set(columns)) < n
+            seen['everything precluded'] += (1 << n) - 1 in p.masks
+
+            result = multiplicative_scheme(p)
+            want = brute_transversals(p.masks, n)
+            assert {phi.masks for phi in result.coevents} == {frozenset([f]) for f in want}
+            assert result.diagnostics['transversals'] == len(want)
+            for flag in (False, True):
+                result = linear_scheme(p, minimal_among_unital=flag)
+                odd, count = brute_supports(p.masks, n, flag)
+                assert ({phi.masks for phi in result.coevents}
+                        == {frozenset(_members(s)) for s in odd})
+                assert result.diagnostics['minimal_supports'] == count
+            seen['reduced nullity >= 3'] += result.diagnostics['solutions_examined'] >= 7
+        assert all(count >= 5 for count in seen.values()), seen
+
+    def test_class_reduction_cases(self):
+        space = SampleSpace('abcdef')
+        # e and f are in no precluded event; a and b always appear together
+        p = explicit(space, '{a b c}', '{a b d}', '{c d}')
+        result = linear_scheme(p)
+        assert texts(result.coevents) == ['a*+c*+d*', 'b*+c*+d*', 'e*', 'f*']
+        # {a b} is the one even minimal support
+        assert result.diagnostics['minimal_supports'] == 5
+        assert linear_scheme(p, minimal_among_unital=True).diagnostics[
+            'minimal_supports'] == 4
+        assert texts(multiplicative_scheme(p).coevents) == [
+            'a*c*d*', 'b*c*d*', 'e*', 'f*']
 
 
 class TestIdealGenerator:
