@@ -21,6 +21,7 @@ Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -59,7 +60,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first main() call and reused: parse_args keeps no state
+    # between calls (each gets a fresh namespace, and `append` copies its
+    # default), while building costs far more than parsing
     parser = _Parser(prog='coevents',
                      description='Solve anhomomorphic coevent schemes for '
                                  'finite quantal-measure scenarios.')

@@ -16,7 +16,8 @@ values; monomials cancel in pairs under ``+`` and combine by union under
 ``*``, keeping the representation canonical.
 
 :meth:`Coevent.from_truth_table` recovers the polynomial from an arbitrary
-assignment via the subset-parity transform, which is its own inverse.
+assignment via the subset-parity transform, which is its own inverse; it
+runs word-parallel on the truth table held as one 2^n-bit integer.
 
 Text grammar::
 
@@ -29,6 +30,7 @@ e.g. ``a*+b*+c*`` or ``a*b*``.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable
 
 from .events import (Event, GuardError, ParseError, SampleSpace,
@@ -52,15 +54,43 @@ def _mono_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (mask.bit_count(), tuple(bit_indices(mask)))
 
 
-def _anf_masks(table: list[int], n: int) -> frozenset[int]:
-    """Monomial masks of the truth table (in place subset-parity transform)."""
-    size = 1 << n
+@functools.cache
+def _lacking(n: int) -> tuple[int, ...]:
+    """For each history i, the 2^n-bit family of the events that lack i.
+
+    Bit a of a family stands for the event with bitmask a.  Only these n
+    masks are cached per n, never anything indexed by a truth table.
+    """
+    families = []
     for i in range(n):
-        step = 1 << i
-        for a in range(size):
-            if a & step:
-                table[a] ^= table[a ^ step]
-    return frozenset(a for a in range(size) if table[a])
+        period = 2 << i
+        family = (1 << (1 << i)) - 1  # events 0 .. 2^i - 1 lack history i
+        while period < 1 << n:
+            family |= family << period
+            period *= 2
+        families.append(family)
+    return tuple(families)
+
+
+def _table_guard(n: int) -> None:
+    if n > TRUTH_TABLE_GUARD:
+        raise GuardError(
+            f'truth table over {n} histories exceeds the guard of {TRUTH_TABLE_GUARD}')
+
+
+def _anf(table: int, n: int) -> int:
+    """Subset-parity (Möbius) transform of a 2^n-bit truth table.
+
+    Bit a of `table` is the value on the event with bitmask a; bit F of the
+    result is set iff the monomial F appears in the polynomial.  Each of the
+    n steps adds, in one shift-xor-mask on the whole int, the value of every
+    event lacking history i into its copy with i added (Kennes & Smets,
+    "Computational aspects of the Möbius transformation", 1990).  The
+    transform is its own inverse.
+    """
+    for i, lacking in enumerate(_lacking(n)):
+        table ^= (table & lacking) << (1 << i)
+    return table
 
 
 class Coevent:
@@ -103,25 +133,33 @@ class Coevent:
         return cls._raw(space, frozenset((0,)))
 
     @classmethod
+    def _from_table(cls, space: SampleSpace, table: int) -> Coevent:
+        """The coevent whose truth table is the 2^n-bit integer `table`."""
+        _table_guard(space.size)
+        return cls._raw(space, frozenset(bit_indices(_anf(table, space.size))))
+
+    @classmethod
     def from_truth_table(cls, space: SampleSpace,
                          truth: Callable[[Event], int]) -> Coevent:
         """The unique coevent agreeing with `truth` on every event.
 
-        `truth` is queried on all 2^n events.  Round trip holds both ways:
-        evaluating the result reproduces `truth`, and a coevent fed back
-        through its own evaluations is returned unchanged.
+        `truth` is queried on all 2^n events, in ascending bitmask order,
+        after the size guard has passed.  The answers are collected into
+        one 2^n-bit integer, whose subset-parity transform is computed
+        word-parallel by `_anf` in n shift-xor-mask steps; its set bits
+        are the monomials.  Round trip holds both ways: evaluating the
+        result reproduces `truth`, and a coevent fed back through its own
+        evaluations is returned unchanged.
         """
         n = space.size
-        if n > TRUTH_TABLE_GUARD:
-            raise GuardError(
-                f'truth table over {n} histories exceeds the guard of {TRUTH_TABLE_GUARD}')
-        table = []
+        _table_guard(n)
+        digits = []
         for bits in range(1 << n):
             value = truth(Event(space, bits))
             if value not in (0, 1):
                 raise ValueError(f'truth table value must be 0 or 1, got {value!r}')
-            table.append(int(value))
-        return cls._raw(space, _anf_masks(table, n))
+            digits.append('1' if value else '0')
+        return cls._from_table(space, int(''.join(reversed(digits)), 2))
 
     @property
     def monomials(self) -> tuple[Event, ...]:

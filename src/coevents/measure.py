@@ -44,12 +44,9 @@ __all__ = [
     'DecoherenceMatrix',
     'GaussianRational',
     'PreclusionSet',
-    'Rational',
     'parse_complex',
     'render_complex',
 ]
-
-Rational = Fraction
 
 MEASURE_GUARD = 14  # preclusions, positivity and absorption enumerate all 2^n events
 

@@ -44,10 +44,17 @@ ideal
     exactly when the true sets of its members jointly cover every
     non-precluded event, so the search is an exact weighted set cover over
     all preclusive coevents, ordered by complexity and pruned with an
-    admissible bound.  All minimum-weight generating sets are found; the
+    admissible bound.  Each candidate is a truth table held as one
+    2^n-bit integer; its polynomial comes from the word-parallel
+    subset-parity transform of :mod:`coevents.coevent` (n shift-xor-mask
+    steps on the whole integer) and its complexity from n popcounts, one
+    per history, of the transform masked to the events containing that
+    history.  Polynomials as monomial sets are built only for the members
+    of optimal sets.  All minimum-weight generating sets are found; the
     unital members form the result and the full sets are reported
     alongside, with a flag listing any non-precluded events the unital
-    members fail to cover.
+    members fail to cover (the complement of the union of their truth
+    tables).
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ from itertools import product
 from math import prod
 from typing import Iterable, Mapping
 
-from .coevent import Coevent, _anf_masks, monomial
+from .coevent import Coevent, _anf, _lacking, monomial
 from .events import Event, GuardError, bit_indices
 from .measure import PreclusionSet
 
@@ -84,6 +91,18 @@ ALWAYS_TRUE = 'always-true'
 ALWAYS_FALSE = 'always-false'
 CONTINGENT = 'contingent'
 VACUOUS = 'vacuous'
+
+_SWAP_DIGITS = str.maketrans('01', '10')
+
+
+def _anf_order(anf: int) -> str:
+    """Sort key ordering monomial sets as the tuples of their masks do.
+
+    The binary digits of `anf`, lowest first, with 0 and 1 swapped: at the
+    first mask in only one of two sets, the set holding it reads '0' where
+    the other reads '1', unless the other set ends there and so is a prefix.
+    """
+    return bin(anf)[:1:-1].translate(_SWAP_DIGITS)
 
 
 @dataclass(frozen=True)
@@ -267,15 +286,21 @@ def linear_scheme(preclusions: PreclusionSet, *,
         wall_time_s=time.perf_counter() - start)
 
 
+def _universe(preclusions: PreclusionSet) -> int:
+    """Truth-table mask of the non-precluded events."""
+    universe = (1 << (1 << preclusions.space.size)) - 1
+    for z in preclusions.masks:
+        universe ^= 1 << z
+    return universe
+
+
 def ideal_generator(preclusions: PreclusionSet) -> Coevent:
     """Indicator of the non-precluded events, as a coevent.
 
     Principal generator of the preclusive ideal: ψ is preclusive iff
     ψ·g = ψ pointwise.  Zero exactly when everything is precluded.
     """
-    masks = preclusions.masks
-    return Coevent.from_truth_table(
-        preclusions.space, lambda ev: 0 if ev.bits in masks else 1)
+    return Coevent._from_table(preclusions.space, _universe(preclusions))
 
 
 def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
@@ -286,11 +311,7 @@ def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
     if n > IDEAL_SEARCH_GUARD:
         raise GuardError(
             f'ideal search over {n} histories exceeds the guard of {IDEAL_SEARCH_GUARD}')
-    n_events = 1 << n
-    universe = 0  # truth-table mask of the non-precluded events
-    for a in range(n_events):
-        if a not in preclusions.masks:
-            universe |= 1 << a
+    universe = _universe(preclusions)
 
     if universe == 0:
         return SchemeResult(
@@ -300,26 +321,31 @@ def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
             wall_time_s=time.perf_counter() - start)
 
     # candidates: every nonzero preclusive coevent, i.e. every nonzero
-    # truth table supported inside the universe
-    tables: list[int] = []
-    sub = universe
-    while sub:
-        tables.append(sub)
-        sub = (sub - 1) & universe
+    # truth table supported inside the universe, ordered by complexity and
+    # then by ascending monomial masks.  The complexity of an ANF is the
+    # number of its monomials containing each history, summed.
+    everything = (1 << (1 << n)) - 1
+    containing = [everything ^ lacking for lacking in _lacking(n)]
     candidates = []
-    for tt in tables:
-        anf = _anf_masks([tt >> a & 1 for a in range(n_events)], n)
-        weight = sum(m.bit_count() for m in anf)
-        candidates.append((weight, tt, anf))
-    candidates.sort(key=lambda c: (c[0], tuple(sorted(c[2]))))
+    tt = universe
+    while tt:
+        anf = _anf(tt, n)
+        weight = sum(map(int.bit_count, map(anf.__and__, containing)))
+        candidates.append((weight, _anf_order(anf), tt))
+        tt = (tt - 1) & universe
+    candidates.sort()
     weights = [c[0] for c in candidates]
-    covers = [c[1] for c in candidates]
+    covers = [c[2] for c in candidates]
 
-    by_element: dict[int, list[int]] = {e: [] for e in bit_indices(universe)}
-    for idx, tt in enumerate(covers):
-        for e in bit_indices(tt):
-            by_element[e].append(idx)
-    min_weight_for = {e: weights[lst[0]] for e, lst in by_element.items()}
+    # the weight of the cheapest candidate containing each element
+    min_weight_for: dict[int, int] = {}
+    fresh = universe
+    for weight, _, tt in candidates:
+        for e in bit_indices(tt & fresh):
+            min_weight_for[e] = weight
+        fresh &= ~tt
+        if not fresh:
+            break
 
     best_weight: int | None = None
     best_sets: set[frozenset[int]] = set()
@@ -341,35 +367,38 @@ def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
         uncovered = universe & ~covered
         if best_weight is not None and weight + lower_bound(uncovered) > best_weight:
             return
-        element = min(bit_indices(uncovered), key=lambda e: len(by_element[e]))
-        for idx in by_element[element]:
+        # every element lies in the same number of candidates, 2^(|U| - 1),
+        # so branch on the lowest uncovered one
+        element = uncovered & -uncovered
+        for idx, tt in enumerate(covers):
             if best_weight is not None and weight + weights[idx] > best_weight:
-                break  # candidate lists are sorted by weight
-            search(covered | covers[idx], weight + weights[idx], chosen + (idx,))
+                break  # candidates are sorted by weight
+            if tt & element:
+                search(covered | tt, weight + weights[idx], chosen + (idx,))
 
     search(0, 0, ())
     assert best_weight is not None and best_sets
 
-    anf_of = {idx: candidates[idx][2] for s in best_sets for idx in s}
+    member = {idx: Coevent._from_table(space, covers[idx])
+              for s in best_sets for idx in s}
     sets_out = sorted(
-        (tuple(sorted((Coevent._raw(space, anf_of[idx]) for idx in s), key=str))
+        (tuple(sorted((member[idx] for idx in s), key=str))
          for s in best_sets),
         key=lambda members: tuple(map(str, members)))
+    full_event = 1 << space.full.bits
+    covered_by_unital = 0
     for indices in best_sets:
         joined = 0
         for idx in indices:
             joined |= covers[idx]
+            if covers[idx] & full_event:  # unital: true on the whole space
+                covered_by_unital |= covers[idx]
         assert joined == universe  # each set generates the whole preclusive ideal
     unital = _canonical(phi for members in sets_out for phi in members
                         if phi.is_unital())
     assert all(phi.is_preclusive(preclusions)
                for members in sets_out for phi in members)
 
-    covered_by_unital = 0
-    for phi in unital:
-        for a in range(n_events):
-            if phi(Event(space, a)):
-                covered_by_unital |= 1 << a
     uncovered = universe & ~covered_by_unital
     uncovered_events = tuple(
         Event(space, a) for a in sorted(bit_indices(uncovered),

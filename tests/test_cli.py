@@ -200,6 +200,49 @@ def test_deterministic_output(capsys):
     assert first == second
 
 
+def fresh_process(argv):
+    """(exit code, stdout, stderr) of the same call in a new interpreter."""
+    proc = subprocess.run([sys.executable, '-m', 'coevents', *argv],
+                          capture_output=True, text=True,
+                          env={**CHILD_ENV, 'COLUMNS': '80'})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_built_lazily_and_once():
+    proc = subprocess.run(
+        [sys.executable, '-c',
+         'from coevents import cli\n'
+         'assert cli._build_parser.cache_info().currsize == 0\n'
+         'cli.main(["preclusions", "two_slit"])\n'
+         'cli.main(["preclusions", "three_slit"])\n'
+         'info = cli._build_parser.cache_info()\n'
+         'assert (info.misses, info.hits) == (1, 1), info\n'],
+        capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_given_does_not_leak_into_the_next_call(capsys):
+    given = ('infer', 'ab_correlation', '--scheme', 'multiplicative',
+             '--given', '{AB Ab}=1', '--query', '{AB aB}')
+    bare = ('infer', 'ab_correlation', '--scheme', 'multiplicative',
+            '--query', '{AB aB}')
+    assert run(capsys, *given) == (0, 'always-true\n', '')
+    # with the first call's --given left in place the answer would be always-true
+    assert run(capsys, *bare) == (0, 'contingent\n', '') == fresh_process(bare)
+    assert run(capsys, *given) == (0, 'always-true\n', '')
+
+
+def test_usage_error_leaves_the_parser_intact(capsys, monkeypatch):
+    monkeypatch.setenv('COLUMNS', '80')
+    bad = ('solve', 'two_slit', '--scheme', 'quadratic')
+    good = ('solve', 'two_slit', '--scheme', 'ideal', '--format', 'json')
+    first = run(capsys, *bad)
+    assert first[0] == 2
+    assert first == fresh_process(bad)
+    assert run(capsys, *good) == fresh_process(good)
+    assert run(capsys, *bad) == first
+
+
 def check_console_script(command, env=None):
     proc = subprocess.run([*command, 'solve', 'three_slit', '--scheme', 'ideal'],
                           capture_output=True, text=True, env=env)

@@ -7,6 +7,7 @@ import pytest
 from coevents import (Coevent, GuardError, ParseError, PreclusionSet,
                       SampleSpace, SpaceMismatchError, classical, monomial,
                       parse_coevent, render_coevent)
+from coevents.coevent import _anf, _lacking
 
 
 def coevent_of_masks(space, masks):
@@ -95,6 +96,48 @@ def test_from_truth_table_round_trip(xy):
         table = {ev.bits: pattern >> ev.bits & 1 for ev in events}
         phi = Coevent.from_truth_table(xy, lambda ev: table[ev.bits])
         assert [phi(ev) for ev in events] == [table[ev.bits] for ev in events]
+
+
+def subset_parity(table, n):
+    """ANF of a truth table by the definition: the coefficient of F is the
+    parity of the table over the subsets of F."""
+    anf = 0
+    for f in range(1 << n):
+        parity = sum(table >> s & 1 for s in range(1 << n) if s & f == s) & 1
+        anf |= parity << f
+    return anf
+
+
+def test_anf_kernel_matches_subset_parity():
+    rng = random.Random(31)
+    corpus = [(3, t) for t in range(1 << 8)]
+    corpus += [(4, rng.getrandbits(16)) for _ in range(2000)]
+    for n, table in corpus:
+        anf = _anf(table, n)
+        assert anf == subset_parity(table, n), (n, table)
+        assert _anf(anf, n) == table  # the transform is its own inverse
+    space = SampleSpace('abcd')
+    for n, table in corpus[-200:]:
+        phi = Coevent.from_truth_table(space, lambda ev: table >> ev.bits & 1)
+        expected = subset_parity(table, n)
+        assert phi.masks == {f for f in range(1 << n) if expected >> f & 1}
+
+
+def test_lacking_families():
+    for n in range(1, 7):
+        families = _lacking(n)
+        assert len(families) == n
+        for i, family in enumerate(families):
+            assert family == sum(1 << a for a in range(1 << n) if not a >> i & 1)
+
+
+def test_from_truth_table_queries_every_event_in_order(abc):
+    asked = []
+    phi = Coevent.from_truth_table(abc, lambda ev: asked.append(ev.bits) or ev.bits == 7)
+    assert asked == list(range(8))
+    assert phi == monomial(abc.full)
+    assert Coevent.from_truth_table(abc, lambda ev: True) == Coevent.one(abc)
+    assert Coevent.from_truth_table(abc, lambda ev: False) == Coevent.zero(abc)
 
 
 def test_from_truth_table_rejects_bad_values(xy):

@@ -328,6 +328,59 @@ class TestIdeal:
             ideal_scheme(PreclusionSet.explicit(space, []))
 
 
+class TestIdealCorpus:
+
+    def test_seeded_n4_sets(self):
+        space = SampleSpace('abcd')
+        rng = random.Random(1914)
+        for _ in range(200):
+            density = rng.choice((0.1, 0.2, 0.3, 0.5, 0.7))
+            p = PreclusionSet.explicit(
+                space, [Event(space, a) for a in range(16) if rng.random() < density])
+            universe = [ev for ev in space.events() if ev not in p]
+            result = ideal_scheme(p)
+            assert result.diagnostics['candidates'] == (1 << len(universe)) - 1
+            if not universe:
+                assert result.generating_sets == ()
+                continue
+            assert result.generating_sets
+            for members in result.generating_sets:
+                for ev in universe:  # the members' true sets cover the universe
+                    assert any(phi(ev) for phi in members)
+                assert all(phi.is_preclusive(p.events) for phi in members)
+                assert sum(phi.complexity for phi in members) == result.total_complexity
+            # the unital members leave uncovered exactly what they miss
+            uncovered = [ev for ev in universe
+                         if not any(phi(ev) for phi in result.coevents)]
+            assert list(result.uncovered_by_unital) == sorted(
+                uncovered, key=lambda ev: (ev.bits.bit_count(), ev.bits))
+
+    @pytest.mark.parametrize('precluded, diagnostics, total', [
+        # nothing precluded: the empty event alone
+        ((), {'candidates': 32767, 'nodes': 90, 'optimal_sets': 1}, 4),
+        (('{b}', '{c}', '{d}'), {'candidates': 4095, 'nodes': 263, 'optimal_sets': 5}, 7),
+        (('{a}', '{b}'), {'candidates': 8191, 'nodes': 15, 'optimal_sets': 1}, 4),
+        (('{c}', '{a b c}', '{a b d}'),
+         {'candidates': 4095, 'nodes': 36, 'optimal_sets': 4}, 6),
+        (('{a b}', '{a b c}', '{a d}'),
+         {'candidates': 4095, 'nodes': 84, 'optimal_sets': 2}, 8),
+        (('{}', '{d}', '{a b d}'),
+         {'candidates': 8191, 'nodes': 100, 'optimal_sets': 4}, 6),
+    ])
+    def test_pinned_search_counters(self, precluded, diagnostics, total):
+        # values recorded from the solver before the word-parallel transform
+        result = ideal_scheme(explicit(SampleSpace('abcd'), *precluded))
+        assert dict(result.diagnostics) == diagnostics
+        assert result.total_complexity == total
+
+    def test_candidate_order_key(self):
+        from coevents.schemes import _anf_order
+        rng = random.Random(8)
+        anfs = list(range(1, 256)) + [rng.getrandbits(16) or 1 for _ in range(500)]
+        assert (sorted(anfs, key=_anf_order)
+                == sorted(anfs, key=lambda a: tuple(_members(a))))
+
+
 class TestInfer:
 
     def test_ab_correlation_inference(self, ab_correlation):
