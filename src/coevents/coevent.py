@@ -58,7 +58,10 @@ def _mono_key(mask: int) -> tuple[int, tuple[int, ...]]:
 def _lacking(n: int) -> tuple[int, ...]:
     """For each history i, the 2^n-bit family of the events that lack i.
 
-    Bit a of a family stands for the event with bitmask a.  Only these n
+    Bit a of a family stands for the event with bitmask a.  The ideal
+    scheme also indexes its candidate tables this way, with n the number
+    of non-precluded events: bit c stands for candidate c, and family j
+    holds the candidates false on the j-th of those events.  Only these n
     masks are cached per n, never anything indexed by a truth table.
     """
     families = []

@@ -5,10 +5,11 @@ per event, bit position equal to the event's bitmask.  Definitions are
 checked by direct enumeration: predicates pairwise over all event pairs,
 polynomial coefficients by independent subset-parity sums rather than the
 fast in-place transform, minimality by pairwise comparison, and minimum
-cover by a weight-budgeted exhaustive search.  The solvers in
-:mod:`coevents.schemes` share only the :class:`~coevents.coevent.Coevent`
-type with this module, never its algorithms, so agreement between the two
-is meaningful evidence.
+cover by a weight-budgeted exhaustive search.  The fast transform only
+turns answers into :class:`~coevents.coevent.Coevent` objects, and
+`table_of` inverts it from the definition.  The solvers in
+:mod:`coevents.schemes` share only the Coevent type with this module,
+never its algorithms, so agreement between the two is meaningful evidence.
 
 Guards are hard errors: n <= 4 for full enumeration (2^16 truth tables),
 n <= 3 for ideal closure and minimum-cover search.
@@ -47,14 +48,27 @@ def _require(space: SampleSpace, guard: int) -> None:
 
 def coevent_from_table(space: SampleSpace, table: int) -> Coevent:
     """Materialise the coevent whose truth table is the integer `table`."""
-    return Coevent.from_truth_table(space, lambda ev: table >> ev.bits & 1)
+    return Coevent._from_table(space, table)
 
 
 def table_of(phi: Coevent) -> int:
-    """Truth table of a coevent, one bit per event at the event's bitmask."""
+    """Truth table of a coevent, one bit per event at the event's bitmask.
+
+    Evaluated from the definition, not by the transform that
+    `coevent_from_table` uses: bit a is the parity of the monomials
+    contained in the event with bitmask a, so each monomial flips the bit
+    of every event containing it.
+    """
+    full = (1 << phi.space.size) - 1
     table = 0
-    for ev in phi.space.events():
-        table |= phi(ev) << ev.bits
+    for m in phi.masks:
+        free = full & ~m
+        sub = free
+        while True:  # every subset of the histories outside m
+            table ^= 1 << (m | sub)
+            if not sub:
+                break
+            sub = (sub - 1) & free
     return table
 
 

@@ -32,8 +32,8 @@ from importlib import resources
 from typing import Iterable
 
 from .coevent import Coevent
-from .events import (Event, GuardError, ParseError, SampleSpace, parse_event,
-                     render_event)
+from .events import (_RESERVED_CHARS, Event, GuardError, ParseError, SampleSpace,
+                     parse_event, render_event)
 from .measure import (DecoherenceMatrix, GaussianRational, PreclusionSet,
                       parse_complex, render_complex)
 from .schemes import SchemeResult
@@ -136,7 +136,7 @@ def parse_scenario(text: str) -> Scenario:
         ok = True
         seen: set[str] = set()
         for label, col in labels:
-            if any(c in '*+{}=' for c in label):
+            if not _RESERVED_CHARS.isdisjoint(label):  # '#' was cut with the comment
                 diags.append(ParseDiagnostic(
                     lineno, col, f'history label {label!r} contains a reserved character'))
                 ok = False

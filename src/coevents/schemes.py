@@ -44,22 +44,25 @@ ideal
     exactly when the true sets of its members jointly cover every
     non-precluded event, so the search is an exact weighted set cover over
     all preclusive coevents, ordered by complexity and pruned with an
-    admissible bound.  Each candidate is a truth table held as one
-    2^n-bit integer; its polynomial comes from the word-parallel
-    subset-parity transform of :mod:`coevents.coevent` (n shift-xor-mask
-    steps on the whole integer) and its complexity from n popcounts, one
-    per history, of the transform masked to the events containing that
-    history.  Polynomials as monomial sets are built only for the members
-    of optimal sets.  All minimum-weight generating sets are found; the
-    unital members form the result and the full sets are reported
-    alongside, with a flag listing any non-precluded events the unital
-    members fail to cover (the complement of the union of their truth
-    tables).
+    admissible bound.  Candidate c, for each nonzero subset c of the k
+    non-precluded events, is the truth table true on that subset.  The
+    subset-parity transform is linear over GF(2), so every candidate is
+    weighed at once: the coefficient of a monomial across all candidates
+    is one 2^k-bit column, and the columns are summed by ripple carry into
+    a few bit planes of complexities, whose weight classes also give the
+    bound.  Truth tables (one 2^n-bit integer each), their word-parallel
+    transforms from :mod:`coevents.coevent` and the tie-break order are
+    built only for the weight classes the search reaches: a few hundred of
+    up to 32,767 candidates at n = 4.  Polynomials as monomial sets are
+    built only for the members of optimal sets.  All minimum-weight
+    generating sets are found; the unital members form the result and the
+    full sets are reported alongside, with a flag listing any non-precluded
+    events the unital members fail to cover (the complement of the union of
+    their truth tables).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from itertools import product
 from math import prod
@@ -130,7 +133,6 @@ class SchemeResult:
     generating_sets: tuple[tuple[Coevent, ...], ...] | None = None
     uncovered_by_unital: tuple[Event, ...] = ()
     diagnostics: Mapping[str, int] = field(default_factory=dict, compare=False)
-    wall_time_s: float = field(default=0.0, compare=False)
 
     @property
     def is_viable(self) -> bool:
@@ -156,7 +158,6 @@ def _echelon(vectors: Iterable[int]) -> dict[int, int]:
 
 def multiplicative_scheme(preclusions: PreclusionSet) -> SchemeResult:
     """Minimal monomial coevents contained in no precluded event."""
-    start = time.perf_counter()
     space = preclusions.space
     full = (1 << space.size) - 1
     edges = sorted({full & ~z for z in preclusions.masks},
@@ -203,14 +204,12 @@ def multiplicative_scheme(preclusions: PreclusionSet) -> SchemeResult:
         coevents=coevents,
         total_complexity=sum(phi.complexity for phi in coevents),
         diagnostics={'edges': len(edges), 'candidates_examined': nodes,
-                     'transversals': len(transversals)},
-        wall_time_s=time.perf_counter() - start)
+                     'transversals': len(transversals)})
 
 
 def linear_scheme(preclusions: PreclusionSet, *,
                   minimal_among_unital: bool = False) -> SchemeResult:
     """Unital sums of classical coevents with minimal support."""
-    start = time.perf_counter()
     space = preclusions.space
     n = space.size
 
@@ -282,8 +281,7 @@ def linear_scheme(preclusions: PreclusionSet, *,
         total_complexity=sum(phi.complexity for phi in coevents),
         diagnostics={'nullspace_dimension': nullity,
                      'solutions_examined': (1 << len(basis)) - 1,
-                     'minimal_supports': minimal_count},
-        wall_time_s=time.perf_counter() - start)
+                     'minimal_supports': minimal_count})
 
 
 def _universe(preclusions: PreclusionSet) -> int:
@@ -303,9 +301,43 @@ def ideal_generator(preclusions: PreclusionSet) -> Coevent:
     return Coevent._from_table(preclusions.space, _universe(preclusions))
 
 
+def _weight_classes(elements: list[int], n: int) -> list[tuple[int, int]]:
+    """Every nonzero truth table inside `elements`, grouped by complexity.
+
+    Candidate c, for 0 < c < 2^k with k = len(elements), is the table true
+    on elements[j] for each set bit j of c.  The transform is linear over
+    GF(2), so the coefficient of monomial F across all candidates is one
+    2^k-bit column: the XOR of the columns of the elements inside F, found
+    for every F by an n-step subset sum.  Each column is added |F| times,
+    by ripple carry, into bit planes of the candidates' complexities, and
+    the planes split the candidates into classes.  Returns the nonempty
+    (weight, candidate mask) pairs in ascending weight.
+    """
+    everything = (1 << (1 << len(elements))) - 1
+    column = [0] * (1 << n)
+    for e, lacking in zip(elements, _lacking(len(elements))):
+        column[e] = everything ^ lacking  # the candidates true on e
+    for i in range(n):
+        for f in range(1 << n):
+            if f >> i & 1:
+                column[f] ^= column[f ^ 1 << i]
+    # no complexity exceeds n 2^(n - 1), the sum over all monomials
+    planes = [0] * (n << n - 1).bit_length()
+    for f in range(1, 1 << n):
+        for b in bit_indices(f.bit_count()):
+            carry = column[f]
+            while carry:  # ripple carry upward from plane b
+                planes[b], carry = planes[b] ^ carry, planes[b] & carry
+                b += 1
+    classes = [(0, everything ^ 1)]  # candidate 0 is the zero table
+    for b, plane in enumerate(planes):
+        classes = [(w | bit << b, part) for w, mask in classes
+                   for bit, part in ((0, mask & ~plane), (1, mask & plane)) if part]
+    return sorted(classes)
+
+
 def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
     """Minimum-total-complexity generating sets of the preclusive ideal."""
-    start = time.perf_counter()
     space = preclusions.space
     n = space.size
     if n > IDEAL_SEARCH_GUARD:
@@ -317,39 +349,36 @@ def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
         return SchemeResult(
             scheme='ideal', coevents=(), total_complexity=None, unique=True,
             generating_sets=(),
-            diagnostics={'candidates': 0, 'nodes': 0, 'optimal_sets': 0},
-            wall_time_s=time.perf_counter() - start)
+            diagnostics={'candidates': 0, 'nodes': 0, 'optimal_sets': 0})
 
-    # candidates: every nonzero preclusive coevent, i.e. every nonzero
-    # truth table supported inside the universe, ordered by complexity and
-    # then by ascending monomial masks.  The complexity of an ANF is the
-    # number of its monomials containing each history, summed.
-    everything = (1 << (1 << n)) - 1
-    containing = [everything ^ lacking for lacking in _lacking(n)]
-    candidates = []
-    tt = universe
-    while tt:
-        anf = _anf(tt, n)
-        weight = sum(map(int.bit_count, map(anf.__and__, containing)))
-        candidates.append((weight, _anf_order(anf), tt))
-        tt = (tt - 1) & universe
-    candidates.sort()
-    weights = [c[0] for c in candidates]
-    covers = [c[2] for c in candidates]
-
+    # candidates: every nonzero preclusive coevent, i.e. every nonzero truth
+    # table inside the universe, scanned by complexity and then by ascending
+    # monomial masks.  All are weighed at once; a weight class becomes truth
+    # tables only when the scan first reaches it.
+    elements = list(bit_indices(universe))
+    classes = _weight_classes(elements, n)
     # the weight of the cheapest candidate containing each element
-    min_weight_for: dict[int, int] = {}
-    fresh = universe
-    for weight, _, tt in candidates:
-        for e in bit_indices(tt & fresh):
-            min_weight_for[e] = weight
-        fresh &= ~tt
-        if not fresh:
-            break
+    min_weight_for = {e: next(w for w, mask in classes if mask & ~lacking)
+                      for e, lacking in zip(elements, _lacking(len(elements)))}
+    pending = classes[::-1]  # the classes not yet built, lightest last
+    weights: list[int] = []
+    covers: list[int] = []
 
     best_weight: int | None = None
     best_sets: set[frozenset[int]] = set()
     nodes = 0
+
+    def extend(weight: int) -> bool:
+        """Append the next weight class, if it can fit under the incumbent."""
+        if not pending or (best_weight is not None
+                           and weight + pending[-1][0] > best_weight):
+            return False
+        w, mask = pending.pop()
+        block = sorted((_anf_order(_anf(tt, n)), tt) for tt in (
+            sum(1 << elements[j] for j in bit_indices(c)) for c in bit_indices(mask)))
+        covers.extend(tt for _, tt in block)
+        weights.extend([w] * len(block))
+        return True
 
     def lower_bound(uncovered: int) -> int:
         return max(min_weight_for[e] for e in bit_indices(uncovered))
@@ -370,11 +399,13 @@ def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
         # every element lies in the same number of candidates, 2^(|U| - 1),
         # so branch on the lowest uncovered one
         element = uncovered & -uncovered
-        for idx, tt in enumerate(covers):
+        idx = 0
+        while idx < len(covers) or extend(weight):
             if best_weight is not None and weight + weights[idx] > best_weight:
                 break  # candidates are sorted by weight
-            if tt & element:
-                search(covered | tt, weight + weights[idx], chosen + (idx,))
+            if covers[idx] & element:
+                search(covered | covers[idx], weight + weights[idx], chosen + (idx,))
+            idx += 1
 
     search(0, 0, ())
     assert best_weight is not None and best_sets
@@ -411,9 +442,8 @@ def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
         unique=len(sets_out) == 1,
         generating_sets=tuple(sets_out),
         uncovered_by_unital=uncovered_events,
-        diagnostics={'candidates': len(candidates), 'nodes': nodes,
-                     'optimal_sets': len(sets_out)},
-        wall_time_s=time.perf_counter() - start)
+        diagnostics={'candidates': (1 << len(elements)) - 1, 'nodes': nodes,
+                     'optimal_sets': len(sets_out)})
 
 
 def infer(result: SchemeResult, given: Iterable[tuple[Event, int]],

@@ -112,8 +112,13 @@ class TestDiagnostics:
         assert (1, 15) in positions('histories a b a\nprecluded {a}\n')
 
     def test_reserved_character_in_label(self):
-        diags = diagnostics_of('histories a b+c\nprecluded {a}\n')
-        assert any('reserved' in d.message for d in diags)
+        for char in '*+{}=':
+            diags = diagnostics_of(f'histories a b{char}c\nprecluded {{a}}\n')
+            assert [str(d) for d in diags] == [
+                f"1:13: error: history label 'b{char}c' contains a reserved character"]
+
+    def test_hash_in_label_starts_a_comment(self):
+        assert parse_scenario('histories a b#c\nprecluded {a}\n').space.names == ('a', 'b')
 
     def test_no_mode(self):
         diags = diagnostics_of('histories a b\n')

@@ -8,7 +8,10 @@ from coevents import (ALWAYS_FALSE, ALWAYS_TRUE, CONTINGENT, VACUOUS, Event,
                       GuardError, SampleSpace, ideal_generator, ideal_scheme,
                       infer, linear_scheme, multiplicative_scheme,
                       parse_coevent, parse_event)
+from coevents.coevent import Coevent, _anf, _lacking
+from coevents.events import bit_indices
 from coevents.measure import PreclusionSet
+from coevents.schemes import SchemeResult, _anf_order, _universe, _weight_classes
 
 
 def explicit(space, *event_texts):
@@ -127,6 +130,88 @@ def _closure(flags, n, upward):
 
 def _members(mask):
     return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def full_scan_ideal(preclusions):
+    """Reference ideal scheme: weigh and sort every candidate table, then search.
+
+    The solver before weight classes were built lazily; `ideal_scheme` must
+    reproduce its answers and its search counters exactly.
+    """
+    space = preclusions.space
+    n = space.size
+    universe = _universe(preclusions)
+    if universe == 0:
+        return SchemeResult(
+            scheme='ideal', coevents=(), total_complexity=None, unique=True,
+            generating_sets=(),
+            diagnostics={'candidates': 0, 'nodes': 0, 'optimal_sets': 0})
+    everything = (1 << (1 << n)) - 1
+    containing = [everything ^ lacking for lacking in _lacking(n)]
+    candidates = []
+    tt = universe
+    while tt:
+        anf = _anf(tt, n)
+        weight = sum(map(int.bit_count, map(anf.__and__, containing)))
+        candidates.append((weight, _anf_order(anf), tt))
+        tt = (tt - 1) & universe
+    candidates.sort()
+    weights = [c[0] for c in candidates]
+    covers = [c[2] for c in candidates]
+    min_weight_for = {}
+    fresh = universe
+    for weight, _, tt in candidates:
+        for e in bit_indices(tt & fresh):
+            min_weight_for[e] = weight
+        fresh &= ~tt
+    best = {'weight': None, 'sets': set(), 'nodes': 0}
+
+    def search(covered, weight, chosen):
+        best['nodes'] += 1
+        if covered == universe:
+            if best['weight'] is None or weight < best['weight']:
+                best['weight'] = weight
+                best['sets'].clear()
+            if weight == best['weight']:
+                best['sets'].add(frozenset(chosen))
+            return
+        uncovered = universe & ~covered
+        bound = max(min_weight_for[e] for e in bit_indices(uncovered))
+        if best['weight'] is not None and weight + bound > best['weight']:
+            return
+        element = uncovered & -uncovered
+        for idx, tt in enumerate(covers):
+            if best['weight'] is not None and weight + weights[idx] > best['weight']:
+                break
+            if tt & element:
+                search(covered | tt, weight + weights[idx], chosen + (idx,))
+
+    search(0, 0, ())
+    sets_out = sorted(
+        (tuple(sorted((Coevent._from_table(space, covers[idx]) for idx in s), key=str))
+         for s in best['sets']),
+        key=lambda members: tuple(map(str, members)))
+    full_event = 1 << space.full.bits
+    covered_by_unital = 0
+    for s in best['sets']:
+        for idx in s:
+            if covers[idx] & full_event:
+                covered_by_unital |= covers[idx]
+    unital = sorted({phi for members in sets_out for phi in members
+                     if phi.is_unital()}, key=str)
+    uncovered = sorted(bit_indices(universe & ~covered_by_unital),
+                       key=lambda m: (m.bit_count(), m))
+    return SchemeResult(
+        scheme='ideal', coevents=tuple(unital), total_complexity=best['weight'],
+        unique=len(sets_out) == 1, generating_sets=tuple(sets_out),
+        uncovered_by_unital=tuple(Event(space, a) for a in uncovered),
+        diagnostics={'candidates': len(candidates), 'nodes': best['nodes'],
+                     'optimal_sets': len(sets_out)})
+
+
+def ideal_fields(result):
+    return (result.coevents, result.generating_sets, result.total_complexity,
+            result.unique, result.uncovered_by_unital, dict(result.diagnostics))
 
 
 def brute_transversals(masks, n):
@@ -372,6 +457,53 @@ class TestIdealCorpus:
         result = ideal_scheme(explicit(SampleSpace('abcd'), *precluded))
         assert dict(result.diagnostics) == diagnostics
         assert result.total_complexity == total
+
+    def test_matches_full_scan_up_to_n3(self):
+        # every set of nonempty events (the empty event is always precluded)
+        count = 0
+        for n in (1, 2, 3):
+            space = SampleSpace('abc'[:n])
+            for chosen in range(1 << ((1 << n) - 1)):
+                p = PreclusionSet.explicit(
+                    space, [Event(space, a) for a in bit_indices(chosen << 1)])
+                assert ideal_fields(ideal_scheme(p)) == ideal_fields(full_scan_ideal(p)), p.masks
+                count += 1
+        assert count == 138
+
+    def test_matches_full_scan_seeded_n4(self):
+        space = SampleSpace('abcd')
+        named = [
+            (),                                     # nothing precluded
+            range(1, 15),                           # U = {full event}
+            range(1, 16),                           # the whole space precluded
+            [a for a in range(1, 16) if a != 6],    # |U| = 1, not unital
+            [a for a in range(1, 16) if a not in (1, 14)],  # |U| = 2
+            [a for a in range(1, 16) if a not in (3, 15)],  # |U| = 2, one unital
+        ]
+        rng = random.Random(606)
+        seeded = [[a for a in range(1, 16) if rng.random() < density]
+                  for density in (0.1, 0.2, 0.3, 0.5, 0.7, 0.9) * 50]
+        sizes = set()
+        for masks in named + seeded:
+            p = PreclusionSet.explicit(space, [Event(space, a) for a in masks])
+            assert ideal_fields(ideal_scheme(p)) == ideal_fields(full_scan_ideal(p)), p.masks
+            sizes.add(16 - len(p))
+        assert {0, 1, 2, 15} <= sizes
+
+    def test_bit_plane_weights(self):
+        # nothing precluded at n = 4: all 2^15 - 1 candidates
+        space = SampleSpace('abcd')
+        elements = list(range(1, 16))
+        seen = 0
+        weights = [w for w, _ in _weight_classes(elements, 4)]
+        assert weights == sorted(set(weights))
+        for weight, mask in _weight_classes(elements, 4):
+            assert not seen & mask
+            seen |= mask
+            for c in bit_indices(mask):
+                table = sum(1 << elements[j] for j in bit_indices(c))
+                assert Coevent._from_table(space, table).complexity == weight
+        assert seen == (1 << (1 << 15)) - 2
 
     def test_candidate_order_key(self):
         from coevents.schemes import _anf_order
