@@ -34,7 +34,7 @@ import functools
 from typing import Callable, Iterable
 
 from .events import (Event, GuardError, ParseError, SampleSpace,
-                     SpaceMismatchError, bit_indices)
+                     SpaceMismatchError, bit_indices, canonical_key)
 from .measure import PreclusionSet
 
 __all__ = [
@@ -47,11 +47,6 @@ __all__ = [
 ]
 
 TRUTH_TABLE_GUARD = 16  # truth tables hold 2^n entries
-
-
-def _mono_key(mask: int) -> tuple[int, tuple[int, ...]]:
-    # canonical monomial order: degree, then member indices lexicographically
-    return (mask.bit_count(), tuple(bit_indices(mask)))
 
 
 @functools.cache
@@ -167,7 +162,7 @@ class Coevent:
     @property
     def monomials(self) -> tuple[Event, ...]:
         """Monomial events in canonical (degree, lexicographic) order."""
-        return tuple(Event(self.space, m) for m in sorted(self.masks, key=_mono_key))
+        return tuple(Event(self.space, m) for m in sorted(self.masks, key=canonical_key))
 
     def __call__(self, event: Event) -> int:
         """φ(A): parity of the number of monomials contained in A."""
@@ -287,7 +282,7 @@ def render_coevent(phi: Coevent) -> str:
         return '0'
     names = phi.space.names
     parts = []
-    for m in sorted(phi.masks, key=_mono_key):
+    for m in sorted(phi.masks, key=canonical_key):
         if m == 0:
             parts.append('1')
         else:

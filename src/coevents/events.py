@@ -75,6 +75,11 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:
+    """Canonical order of events and monomials: size, then member indices."""
+    return (mask.bit_count(), tuple(bit_indices(mask)))
+
+
 def _check_same_space(a: Event, b: Event) -> None:
     if a.space != b.space:
         raise SpaceMismatchError('operands belong to different sample spaces')

@@ -6,16 +6,18 @@ exact; no floating point enters anywhere.
 
 The measure of an event A is the double sum of decoherence-matrix entries
 over pairs of members of A.  Hermiticity makes the value real; strong
-positivity (positive semidefiniteness, decided here by the non-negativity
-of every principal minor, computed exactly) makes it non-negative.  A
-matrix built from history amplitudes via :meth:`DecoherenceMatrix.from_amplitudes`
-is a sum of outer products and is always strongly positive.  Amplitudes
-are used unnormalised: preclusion is scale invariant, so overall constants
+positivity (positive semidefiniteness, decided here exactly by one
+symmetric Gaussian elimination) makes it non-negative.  A matrix built
+from history amplitudes via :meth:`DecoherenceMatrix.from_amplitudes` is a
+sum of outer products and is always strongly positive.  Amplitudes are
+used unnormalised: preclusion is scale invariant, so overall constants
 are irrelevant and dropping them keeps the arithmetic rational.
 
-Deriving the preclusions and checking positivity and absorption each
-enumerate all 2^n events, so all three refuse spaces of more than
-``MEASURE_GUARD`` histories with a :class:`GuardError` before any work.
+Deriving the preclusions enumerates all 2^n events; the null-absorption
+check derives them and then tests one row sum per null and history.  Both
+refuse spaces of more than ``MEASURE_GUARD`` histories with a
+:class:`GuardError` before any work, and so does the O(n^3) positivity
+check, which keeps the same guard and message.
 
 A :class:`PreclusionSet` records the events of measure zero, whether
 computed from a matrix or declared outright; the empty event always
@@ -37,7 +39,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
 from .events import (Event, GuardError, ParseError, SampleSpace,
-                     SpaceMismatchError, bit_indices)
+                     SpaceMismatchError, bit_indices, canonical_key)
 
 __all__ = [
     'MEASURE_GUARD',
@@ -48,7 +50,7 @@ __all__ = [
     'render_complex',
 ]
 
-MEASURE_GUARD = 14  # preclusions, positivity and absorption enumerate all 2^n events
+MEASURE_GUARD = 14  # preclusions (so absorption) enumerate 2^n events; positivity shares it
 
 _Scalar = Union['GaussianRational', Fraction, int]
 
@@ -182,6 +184,13 @@ def render_complex(value: GaussianRational) -> str:
     return f'{value.re}{sign}{abs(value.im)}i'
 
 
+def first_non_hermitian(rows: Sequence[Sequence[GaussianRational]]) -> tuple[int, int] | None:
+    """The first (i, j), i <= j in row order, with rows[i][j] != conj(rows[j][i])."""
+    n = len(rows)
+    return next(((i, j) for i in range(n) for j in range(i, n)
+                 if rows[i][j] != rows[j][i].conjugate()), None)
+
+
 class DecoherenceMatrix:
     """Hermitian matrix D over a space, defining μ(A) = Σ_{γ,γ' ∈ A} D(γ,γ')."""
 
@@ -192,10 +201,9 @@ class DecoherenceMatrix:
         rows = tuple(tuple(GaussianRational.ensure(e) for e in row) for row in entries)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f'decoherence matrix must be {n}x{n}')
-        for i in range(n):
-            for j in range(i, n):
-                if rows[i][j] != rows[j][i].conjugate():
-                    raise ValueError(f'matrix is not Hermitian at ({i}, {j})')
+        bad = first_non_hermitian(rows)
+        if bad is not None:
+            raise ValueError(f'matrix is not Hermitian at {bad}')
         self.space = space
         self.entries = rows
 
@@ -272,56 +280,46 @@ class DecoherenceMatrix:
         return PreclusionSet(self.space, null, provenance='measure')
 
     def is_strongly_positive(self) -> bool:
-        """Exact positive semidefiniteness: every principal minor is >= 0."""
+        """Exact positive semidefiniteness, by one symmetric elimination.
+
+        A negative pivot, or a zero pivot with a nonzero entry left in its
+        row (which makes a 2x2 principal minor negative), means some
+        principal minor is negative.  Otherwise the pivot row, scaled by
+        the real pivot, is subtracted from the rows below, and the Hermitian
+        remainder (the Schur complement) is checked the same way.
+        """
         self._guard('strong-positivity check')
-        n = self.space.size
-        for subset in range(1, 1 << n):
-            idx = [i for i in range(n) if subset >> i & 1]
-            minor = _determinant([[self.entries[i][j] for j in idx] for i in idx])
-            assert minor.im == 0
-            if minor.re < 0:
+        m = [list(row) for row in self.entries]
+        n = len(m)
+        for k in range(n):
+            pivot = m[k][k].re
+            if pivot < 0:
                 return False
+            if pivot == 0:
+                if any(m[k][k + 1:]):
+                    return False
+                continue
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    factor = m[i][k] * (1 / pivot)
+                    m[i][k + 1:] = [a - factor * b for a, b in zip(m[i][k + 1:], m[k][k + 1:])]
         return True
 
     def null_absorption_holds(self) -> bool:
-        """μ(A ∪ N) = μ(A) for every null N disjoint from A, checked exhaustively."""
+        """μ(A ∪ N) = μ(A) for every null N and every A disjoint from it.
+
+        μ(A ∪ N) = μ(A) + μ(N) + 2·Re Σ_{i∈A, j∈N} D_ij, so for a null N
+        this holds for every such A iff Re Σ_{j∈N} D_ij = 0 for each
+        history i outside N.  No positivity is assumed.
+        """
         self._guard('null-absorption check')
-        full = (1 << self.space.size) - 1
-        mu = {ev.bits: self.measure(ev) for ev in self.space.events()}
-        for null_bits, value in mu.items():
-            if value != 0:
-                continue
-            rest = full & ~null_bits
-            a = rest
-            while True:
-                if mu[a | null_bits] != mu[a]:
+        n = self.space.size
+        for null in self.preclusions().masks:
+            members = tuple(bit_indices(null))
+            for i in range(n):
+                if not null >> i & 1 and sum(self.entries[i][j].re for j in members) != 0:
                     return False
-                if a == 0:
-                    break
-                a = (a - 1) & rest
         return True
-
-
-def _determinant(matrix: list[list[GaussianRational]]) -> GaussianRational:
-    """Exact determinant by Gaussian elimination over the Gaussian rationals."""
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    det = GaussianRational(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
-        if pivot_row is None:
-            return GaussianRational()
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = -det
-        pivot = m[col][col]
-        det = det * pivot
-        for r in range(col + 1, n):
-            if m[r][col].is_zero():
-                continue
-            factor = m[r][col] / pivot
-            m[r] = [m[r][k] - factor * m[col][k] for k in range(n)]
-    return det
 
 
 class PreclusionSet:
@@ -358,8 +356,7 @@ class PreclusionSet:
     def events(self) -> tuple[Event, ...]:
         """Member events sorted by (size, member indices); sorted once."""
         if self._events is None:
-            order = sorted(self.masks,
-                           key=lambda m: (m.bit_count(), tuple(bit_indices(m))))
+            order = sorted(self.masks, key=canonical_key)
             self._events = tuple(Event(self.space, m) for m in order)
         return self._events
 

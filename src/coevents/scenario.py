@@ -33,9 +33,9 @@ from typing import Iterable
 
 from .coevent import Coevent
 from .events import (_RESERVED_CHARS, Event, GuardError, ParseError, SampleSpace,
-                     parse_event, render_event)
+                     canonical_key, parse_event, render_event)
 from .measure import (DecoherenceMatrix, GaussianRational, PreclusionSet,
-                      parse_complex, render_complex)
+                      first_non_hermitian, parse_complex, render_complex)
 from .schemes import SchemeResult
 
 __all__ = [
@@ -100,10 +100,6 @@ class Scenario:
         if self.mode == 'explicit':
             return PreclusionSet.explicit(self.space, self.precluded)
         return self.decoherence_matrix().preclusions()
-
-
-def _event_sort_key(event: Event) -> tuple[int, tuple[int, ...]]:
-    return (len(event), event.indices)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -231,7 +227,7 @@ def parse_scenario(text: str) -> Scenario:
                 events.append(parse_event(event_text, space))
             except ParseError as exc:
                 diags.append(ParseDiagnostic(lineno, column + exc.position, exc.message))
-        precluded = tuple(sorted(set(events), key=_event_sort_key))
+        precluded = tuple(sorted(set(events), key=lambda ev: canonical_key(ev.bits)))
 
     if diags:
         raise ScenarioError(diags)
@@ -290,7 +286,7 @@ def _resolve_amplitudes(space, amp_lines, block_lines, diags):
     if missing or len(values) != n:
         return None, None
     amplitudes = tuple(values[i] for i in range(n))
-    blocks = tuple(sorted(block_events, key=_event_sort_key))
+    blocks = tuple(sorted(block_events, key=lambda ev: canonical_key(ev.bits)))
     return amplitudes, blocks
 
 
@@ -325,13 +321,13 @@ def _resolve_dmatrix(space, dmatrix_lines, diags):
             positions.append(pos)
     if not ok or len(rows) != n:
         return None
-    for i in range(n):
-        for j in range(i, n):
-            if rows[i][j] != rows[j][i].conjugate():
-                lineno, col = positions[j][i]
-                diags.append(ParseDiagnostic(
-                    lineno, col, f'matrix is not Hermitian at row {j + 1}, column {i + 1}'))
-                return None
+    bad = first_non_hermitian(rows)
+    if bad is not None:
+        i, j = bad
+        lineno, col = positions[j][i]
+        diags.append(ParseDiagnostic(
+            lineno, col, f'matrix is not Hermitian at row {j + 1}, column {i + 1}'))
+        return None
     return DecoherenceMatrix(space, rows)
 
 

@@ -1,5 +1,7 @@
 """Exact complex rationals, decoherence matrices, and preclusion sets."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from coevents import (DecoherenceMatrix, GaussianRational, GuardError,
                       ParseError, PreclusionSet, SampleSpace,
                       SpaceMismatchError, parse_complex, render_complex)
 from coevents import measure
+from coevents.events import Event, bit_indices
 
 
 def gr(re, im=0):
@@ -110,6 +113,15 @@ class TestDecoherenceMatrix:
         with pytest.raises(ValueError):
             DecoherenceMatrix(space, [[gr(0)]])  # wrong shape
 
+    def test_hermitian_message_names_the_first_violation(self, abc):
+        rows = [[gr(1), gr(0), gr(2)], [gr(0), gr(1), gr(0)], [gr(3), gr(0), gr(0, 1)]]
+        with pytest.raises(ValueError) as excinfo:
+            DecoherenceMatrix(abc, rows)
+        assert str(excinfo.value) == 'matrix is not Hermitian at (0, 2)'
+        with pytest.raises(ValueError) as excinfo:
+            DecoherenceMatrix(SampleSpace(['x']), [[gr(0, 1)]])
+        assert str(excinfo.value) == 'matrix is not Hermitian at (0, 0)'
+
     def test_complex_off_diagonal(self):
         space = SampleSpace(['x', 'y'])
         d = DecoherenceMatrix(space, [[gr(1), gr(0, 1)], [gr(0, -1), gr(1)]])
@@ -160,6 +172,50 @@ class TestDecoherenceMatrix:
         d = DecoherenceMatrix(xy, [[gr(1), gr(0)], [gr(0), gr(-1)]])
         assert not d.is_strongly_positive()
 
+    def test_one_by_one_negative_is_not_positive(self):
+        assert not DecoherenceMatrix(SampleSpace(['x']), [[gr(-1)]]).is_strongly_positive()
+        assert DecoherenceMatrix(SampleSpace(['x']), [[gr(0)]]).is_strongly_positive()
+
+    def test_zero_diagonal_with_a_nonzero_row_is_not_positive(self, abc):
+        # minor {a, b} is 0*5 - |i|^2 = -1, though every diagonal entry is >= 0
+        d = DecoherenceMatrix(abc, [[gr(0), gr(0, 1), gr(0)],
+                                    [gr(0, -1), gr(5), gr(0)],
+                                    [gr(0), gr(0), gr(1)]])
+        assert not d.is_strongly_positive()
+        # a zero diagonal entry whose whole row is zero is fine
+        d = DecoherenceMatrix(abc, [[gr(0), gr(0), gr(0)],
+                                    [gr(0), gr(5), gr(1)],
+                                    [gr(0), gr(1), gr(1)]])
+        assert d.is_strongly_positive()
+
+    def test_zero_pivot_midway(self, abc):
+        # (1, 1, 1)(1, 1, 1)^H + e_c e_c^H: eliminating a leaves a zero pivot
+        # at b with a zero row, then pivot 1 at c
+        d = DecoherenceMatrix(abc, [[gr(1), gr(1), gr(1)],
+                                    [gr(1), gr(1), gr(1)],
+                                    [gr(1), gr(1), gr(2)]])
+        assert d.is_strongly_positive()
+        # the same zero pivot with 1 left in its row: minor {b c} is 1*3 - 4
+        d = DecoherenceMatrix(abc, [[gr(1), gr(1), gr(1)],
+                                    [gr(1), gr(1), gr(2)],
+                                    [gr(1), gr(2), gr(3)]])
+        assert not d.is_strongly_positive()
+
+    def test_positivity_at_the_guard_is_fast(self):
+        # n = MEASURE_GUARD has 16,383 principal minors; one elimination
+        # over a full-rank complex matrix must stay well inside 2 s
+        n = measure.MEASURE_GUARD
+        space = SampleSpace(f'h{i}' for i in range(n))
+        amps = [gr(i % 3 - 1, i % 2) for i in range(n)]
+        rows = [[amps[i] * amps[j].conjugate() + (i + 1 if i == j else 0) for j in range(n)]
+                for i in range(n)]
+        d = DecoherenceMatrix(space, rows)
+        start = time.perf_counter()
+        assert d.is_strongly_positive()
+        assert time.perf_counter() - start < 2.0
+        rows[n - 1][n - 1] -= n + 1 + amps[n - 1].norm_squared()
+        assert not DecoherenceMatrix(space, rows).is_strongly_positive()
+
     def test_absorption_follows_positivity_here(self):
         _, d = two_slit_matrix()
         assert d.null_absorption_holds()
@@ -169,6 +225,33 @@ class TestDecoherenceMatrix:
         d = DecoherenceMatrix(xy, [[gr(0), gr(1)], [gr(1), gr(0)]])
         assert not d.is_strongly_positive()
         assert not d.null_absorption_holds()
+
+    def test_third_history_resurrects_a_null_pair(self, abc):
+        # mu({a b}) = 0 with non-null members; Re(D_ca + D_cb) = 1, so
+        # mu({a b c}) = 3 differs from mu({c}) = 1
+        d = DecoherenceMatrix(abc, [[gr(1), gr(-1), gr(1)],
+                                    [gr(-1), gr(1), gr(0)],
+                                    [gr(1), gr(0), gr(1)]])
+        assert d.measure(abc.event(['a', 'b'])) == 0
+        assert d.measure(abc.full) != d.measure(abc.event(['c']))
+        assert not d.is_strongly_positive()
+        assert not d.null_absorption_holds()
+
+    def test_absorption_is_not_a_positivity_proxy(self, abc):
+        # {a b} is null and D_ca + D_cb = i has zero real part, so every
+        # union with the null keeps its measure; D.1_{a b} = (0, 0, i) is not
+        # zero, so D is not PSD, though every diagonal entry is positive
+        d = DecoherenceMatrix(abc, [[gr(1), gr(-1), gr(0, -1)],
+                                    [gr(-1), gr(1), gr(0)],
+                                    [gr(0, 1), gr(0), gr(1)]])
+        assert not d.is_strongly_positive()
+        assert d.null_absorption_holds()
+        # indefinite with its null cut off from the rest: absorbs as well
+        d = DecoherenceMatrix(abc, [[gr(1), gr(-1), gr(1)],
+                                    [gr(-1), gr(1), gr(-1)],
+                                    [gr(1), gr(-1), gr(-1)]])
+        assert not d.is_strongly_positive()
+        assert d.null_absorption_holds()
 
 
 def over_guard_matrix():
@@ -248,3 +331,193 @@ class TestPreclusionSet:
 
     def test_interference_pattern_not_classical(self, three_slit):
         assert not three_slit.preclusion_set().is_classical()
+
+
+# -- exhaustive references ---------------------------------------------------
+#
+# The principal-minor and subset-walk checks that `DecoherenceMatrix` used
+# before its one elimination and its row-sum test.  `is_strongly_positive`
+# and `null_absorption_holds` must agree with them on the corpus below.
+
+def minors_strongly_positive(self) -> bool:
+    """Exact positive semidefiniteness: every principal minor is >= 0."""
+    self._guard('strong-positivity check')
+    n = self.space.size
+    for subset in range(1, 1 << n):
+        idx = [i for i in range(n) if subset >> i & 1]
+        minor = _determinant([[self.entries[i][j] for j in idx] for i in idx])
+        assert minor.im == 0
+        if minor.re < 0:
+            return False
+    return True
+
+
+def subset_walk_absorption(self) -> bool:
+    """μ(A ∪ N) = μ(A) for every null N disjoint from A, checked exhaustively."""
+    self._guard('null-absorption check')
+    full = (1 << self.space.size) - 1
+    mu = {ev.bits: self.measure(ev) for ev in self.space.events()}
+    for null_bits, value in mu.items():
+        if value != 0:
+            continue
+        rest = full & ~null_bits
+        a = rest
+        while True:
+            if mu[a | null_bits] != mu[a]:
+                return False
+            if a == 0:
+                break
+            a = (a - 1) & rest
+    return True
+
+
+def _determinant(matrix: list[list[GaussianRational]]) -> GaussianRational:
+    """Exact determinant by Gaussian elimination over the Gaussian rationals."""
+    n = len(matrix)
+    m = [row[:] for row in matrix]
+    det = GaussianRational(1)
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
+        if pivot_row is None:
+            return GaussianRational()
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            det = -det
+        pivot = m[col][col]
+        det = det * pivot
+        for r in range(col + 1, n):
+            if m[r][col].is_zero():
+                continue
+            factor = m[r][col] / pivot
+            m[r] = [m[r][k] - factor * m[col][k] for k in range(n)]
+    return det
+
+
+def _gaussian(rng, spread=2):
+    return gr(rng.randint(-spread, spread), rng.randint(-spread, spread) * rng.randint(0, 1))
+
+
+def _gram(space, vectors):
+    """Σ_v v v^H: positive semidefinite, of rank at most len(vectors)."""
+    n = space.size
+    zero = GaussianRational()
+    entries = [[sum((v[i] * v[j].conjugate() for v in vectors), zero) for j in range(n)]
+               for i in range(n)]
+    return DecoherenceMatrix(space, entries)
+
+
+def _hermitian(space, entries):
+    """Symmetrise the upper triangle of `entries` (real diagonal) into a matrix."""
+    n = space.size
+    rows = [[entries[i][j] if i < j else entries[j][i].conjugate() if i > j
+             else gr(entries[i][i].re) for j in range(n)] for i in range(n)]
+    return DecoherenceMatrix(space, rows)
+
+
+def _amplitude_matrix(rng, space):
+    n = space.size
+    amps = [_gaussian(rng) for _ in range(n)]
+    labels = [rng.randrange(3) for _ in range(n)]
+    blocks = [Event(space, sum(1 << i for i in range(n) if labels[i] == k))
+              for k in sorted(set(labels))]
+    return DecoherenceMatrix.from_amplitudes(space, amps, blocks)
+
+
+def _low_rank(rng, space):
+    n = space.size
+    vectors = [[_gaussian(rng) for _ in range(n)] for _ in range(rng.randrange(n))]
+    return _gram(space, vectors)
+
+
+def _zero_pivot(rng, space):
+    # a later history copies an earlier one's column, or is all zero, so the
+    # elimination meets a zero pivot midway; half get a nudge off PSD there
+    n = space.size
+    vectors = [[_gaussian(rng) for _ in range(n)] for _ in range(rng.randint(1, n))]
+    i, j = sorted(rng.sample(range(n), 2))
+    scale = rng.choice([0, 1, -1, gr(0, 1)])
+    for v in vectors:
+        v[j] = v[i] * scale
+    d = _gram(space, vectors)
+    if rng.random() < 0.5:
+        rows = [list(row) for row in d.entries]
+        k = rng.choice([k for k in range(n) if k != j])
+        rows[min(j, k)][max(j, k)] += _gaussian(rng, 1)
+        d = _hermitian(space, rows)
+    return d
+
+
+def _indefinite(rng, space):
+    n = space.size
+    return _hermitian(space, [[_gaussian(rng) if i != j else gr(rng.randint(-1, 3))
+                               for j in range(n)] for i in range(n)])
+
+
+def _zero_diagonal(rng, space):
+    n = space.size
+    zeros = {i for i in range(n) if rng.random() < 0.4}
+    return _hermitian(space, [[gr(0) if i == j and i in zeros else _gaussian(rng, 1)
+                               for j in range(n)] for i in range(n)])
+
+
+def _perturbed_null(rng, space):
+    # amplitudes summing to zero over N within each block make N null; a
+    # Hermitian term off N keeps absorption, one touching N's rows need not
+    n = space.size
+    null = rng.randrange(1, 1 << n)
+    labels = [rng.randrange(2) for _ in range(n)]
+    amps = [_gaussian(rng) for _ in range(n)]
+    for k in set(labels):
+        members = [i for i in bit_indices(null) if labels[i] == k]
+        if members:
+            amps[members[-1]] = -sum(amps[i] for i in members[:-1])
+    blocks = [Event(space, sum(1 << i for i in range(n) if labels[i] == k))
+              for k in sorted(set(labels))]
+    rows = [list(row) for row in DecoherenceMatrix.from_amplitudes(space, amps, blocks).entries]
+    outside = [i for i in range(n) if not null >> i & 1]
+    if rng.random() < 0.5 and outside:
+        for i in outside:
+            for j in outside:
+                if i <= j:
+                    rows[i][j] += _gaussian(rng, 1)
+    else:
+        i = rng.choice(outside or range(n))
+        j = rng.choice(list(bit_indices(null)))
+        rows[min(i, j)][max(i, j)] += _gaussian(rng, 1)
+    return _hermitian(space, rows)
+
+
+CORPUS_KINDS = (_amplitude_matrix, _low_rank, _indefinite, _zero_diagonal,
+                _perturbed_null, _zero_pivot)
+
+
+def measure_corpus():
+    """2,000 seeded Hermitian matrices, n = 1..8, the kinds taken in turn.
+
+    The references cost about 2^n determinants and 2^n measures each, so
+    the corpus leans to small n.
+    """
+    rng = random.Random(20070701)
+    counts = {1: 100, 2: 900, 3: 820, 4: 140, 5: 25, 6: 8, 7: 4, 8: 3}
+    for n, count in counts.items():
+        space = SampleSpace(f'h{i}' for i in range(n))
+        kinds = CORPUS_KINDS if n > 1 else CORPUS_KINDS[:-1]  # no zero pivot at n = 1
+        for k in range(count):
+            kind = kinds[(k + n) % len(kinds)]
+            yield kind.__name__, kind(rng, space)
+
+
+def test_elimination_and_row_sums_match_the_exhaustive_references():
+    outcomes = {}
+    total = 0
+    for kind, d in measure_corpus():
+        psd = d.is_strongly_positive()
+        absorbs = d.null_absorption_holds()
+        assert psd == minors_strongly_positive(d), (kind, d.entries)
+        assert absorbs == subset_walk_absorption(d), (kind, d.entries)
+        outcomes[psd, absorbs] = outcomes.get((psd, absorbs), 0) + 1
+        total += 1
+    assert total >= 2000
+    # μ(N) = 0 forces D·1_N = 0 on a PSD matrix, so (True, False) cannot occur
+    assert set(outcomes) == {(True, True), (False, True), (False, False)}
+    assert min(outcomes.values()) >= 50, outcomes

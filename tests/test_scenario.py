@@ -171,10 +171,13 @@ class TestDiagnostics:
         assert any('needs 2 entries' in d.message for d in diags)
 
     def test_dmatrix_not_hermitian(self):
-        text = 'histories a b\ndmatrix 0 1\ndmatrix 2 0\n'
-        diags = diagnostics_of(text)
-        assert any('not Hermitian' in d.message for d in diags)
-        assert (3, 9) in positions(text)
+        # reported at the entry (j, i) of the first bad pair (i, j), i <= j
+        diags = diagnostics_of('histories a b\ndmatrix 0 1\ndmatrix 2 0\n')
+        assert [str(d) for d in diags] == [
+            '3:9: error: matrix is not Hermitian at row 2, column 1']
+        diags = diagnostics_of('histories a b\ndmatrix 1i 0\ndmatrix 0 1\n')
+        assert [str(d) for d in diags] == [
+            '2:9: error: matrix is not Hermitian at row 1, column 1']
 
     def test_precluded_bad_event(self):
         assert (2, 14) in positions('histories a b\nprecluded {a q}\n')
