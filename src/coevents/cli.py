@@ -111,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _scenario_text(argument: str) -> str:
     path = Path(argument)
     if path.is_file():
-        return path.read_text(encoding='utf-8')
+        return path.read_text(encoding='utf-8-sig')  # tolerate a byte-order mark
     if '/' not in argument and argument in bundled_names():
         return load_bundled(argument)
     known = ', '.join(bundled_names())

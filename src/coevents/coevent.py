@@ -34,7 +34,8 @@ import functools
 from typing import Callable, Iterable
 
 from .events import (Event, GuardError, ParseError, SampleSpace,
-                     SpaceMismatchError, bit_indices, canonical_key)
+                     SpaceMismatchError, _label_bit, _sum_terms, bit_indices,
+                     canonical_key)
 from .measure import PreclusionSet
 
 __all__ = [
@@ -293,22 +294,12 @@ def render_coevent(phi: Coevent) -> str:
 def parse_coevent(text: str, space: SampleSpace) -> Coevent:
     """Parse the ``poly`` grammar; terms cancel in pairs, labels idempotent."""
     stripped = text.strip()
-    lead = len(text) - len(text.lstrip())
     if not stripped:
         raise ParseError('empty coevent text', 0)
     if stripped == '0':
         return Coevent.zero(space)
     masks: set[int] = set()
-    start = 0
-    for i in range(len(stripped) + 1):
-        if i < len(stripped) and stripped[i] != '+':
-            continue
-        segment = stripped[start:i]
-        term = segment.strip()
-        pos = lead + start + (len(segment) - len(segment.lstrip()))
-        start = i + 1
-        if not term:
-            raise ParseError('empty term in coevent sum', pos)
+    for term, pos in _sum_terms(text, 'coevent'):
         if term == '0':
             raise ParseError("'0' cannot appear as a term", pos)
         if term == '1':
@@ -324,10 +315,7 @@ def parse_coevent(text: str, space: SampleSpace) -> Coevent:
         for piece in term[:-1].split('*'):
             if not piece:
                 raise ParseError("missing label before '*'", cursor)
-            try:
-                bits |= 1 << space.index(piece)
-            except ValueError:
-                raise ParseError(f'unknown history label {piece!r}', cursor) from None
+            bits |= _label_bit(space, piece, cursor)
             cursor += len(piece) + 1
         masks ^= {bits}
     return Coevent._raw(space, frozenset(masks))

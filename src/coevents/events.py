@@ -274,10 +274,7 @@ def parse_event(text: str, space: SampleSpace) -> Event:
         bits = 0
         for match in _TOKEN.finditer(stripped, 1, len(stripped) - 1):
             label, pos = match.group(), lead + match.start()
-            try:
-                bit = 1 << space.index(label)
-            except ValueError:
-                raise ParseError(f'unknown history label {label!r}', pos) from None
+            bit = _label_bit(space, label, pos)
             if bits & bit:
                 raise ParseError(f'duplicate label {label!r} in event listing', pos)
             bits |= bit
@@ -286,18 +283,26 @@ def parse_event(text: str, space: SampleSpace) -> Event:
         raise ParseError("'}' without opening '{'", lead + stripped.index('}'))
     # sum form: Z2 sum of singletons
     bits = 0
-    start = 0
-    for i in range(len(stripped) + 1):
-        if i < len(stripped) and stripped[i] != '+':
-            continue
-        segment = stripped[start:i]
-        label = segment.strip()
-        pos = lead + start + (len(segment) - len(segment.lstrip()))
-        if not label:
-            raise ParseError('empty term in event sum', pos)
-        try:
-            bits ^= 1 << space.index(label)
-        except ValueError:
-            raise ParseError(f'unknown history label {label!r}', pos) from None
-        start = i + 1
+    for label, pos in _sum_terms(text, 'event'):
+        bits ^= _label_bit(space, label, pos)
     return Event(space, bits)
+
+
+def _sum_terms(text: str, kind: str) -> Iterator[tuple[str, int]]:
+    """The stripped '+'-separated terms of `text` with their positions (offsets in `text`)."""
+    start = 0
+    for segment in text.rstrip().split('+'):
+        term = segment.strip()
+        pos = start + len(segment) - len(segment.lstrip())
+        if not term:
+            raise ParseError(f'empty term in {kind} sum', pos)
+        yield term, pos
+        start += len(segment) + 1
+
+
+def _label_bit(space: SampleSpace, label: str, position: int) -> int:
+    """The bitmask of history `label`; an unknown label is a :class:`ParseError`."""
+    try:
+        return 1 << space.index(label)
+    except ValueError:
+        raise ParseError(f'unknown history label {label!r}', position) from None

@@ -13,11 +13,11 @@ sum of outer products and is always strongly positive.  Amplitudes are
 used unnormalised: preclusion is scale invariant, so overall constants
 are irrelevant and dropping them keeps the arithmetic rational.
 
-Deriving the preclusions enumerates all 2^n events; the null-absorption
-check derives them and then tests one row sum per null and history.  Both
-refuse spaces of more than ``MEASURE_GUARD`` histories with a
-:class:`GuardError` before any work, and so does the O(n^3) positivity
-check, which keeps the same guard and message.
+Deriving the preclusions enumerates all 2^n events, once per matrix: the
+matrix keeps the set, and the null-absorption check reads it and then tests
+one row sum per null and history.  Both refuse spaces of more than
+``MEASURE_GUARD`` histories with a :class:`GuardError` before any work.
+The O(n^3) positivity check enumerates nothing and has no guard of its own.
 
 A :class:`PreclusionSet` records the events of measure zero, whether
 computed from a matrix or declared outright; the empty event always
@@ -50,7 +50,7 @@ __all__ = [
     'render_complex',
 ]
 
-MEASURE_GUARD = 14  # preclusions (so absorption) enumerate 2^n events; positivity shares it
+MEASURE_GUARD = 14  # preclusions (so absorption) enumerate 2^n events
 
 _Scalar = Union['GaussianRational', Fraction, int]
 
@@ -194,7 +194,7 @@ def first_non_hermitian(rows: Sequence[Sequence[GaussianRational]]) -> tuple[int
 class DecoherenceMatrix:
     """Hermitian matrix D over a space, defining μ(A) = Σ_{γ,γ' ∈ A} D(γ,γ')."""
 
-    __slots__ = ('space', 'entries')
+    __slots__ = ('space', 'entries', '_preclusions')
 
     def __init__(self, space: SampleSpace, entries: Sequence[Sequence[_Scalar]]):
         n = space.size
@@ -206,6 +206,7 @@ class DecoherenceMatrix:
             raise ValueError(f'matrix is not Hermitian at {bad}')
         self.space = space
         self.entries = rows
+        self._preclusions: PreclusionSet | None = None
 
     @classmethod
     def from_amplitudes(cls, space: SampleSpace, amplitudes: Sequence[_Scalar],
@@ -274,10 +275,12 @@ class DecoherenceMatrix:
                 f'past MEASURE_GUARD of {MEASURE_GUARD} histories')
 
     def preclusions(self) -> 'PreclusionSet':
-        """All events of measure zero.  Cost grows as 4^n."""
+        """All events of measure zero.  Cost grows as 4^n; derived once."""
         self._guard('preclusion derivation')
-        null = [ev for ev in self.space.events() if self.measure(ev) == 0]
-        return PreclusionSet(self.space, null, provenance='measure')
+        if self._preclusions is None:
+            null = [ev for ev in self.space.events() if self.measure(ev) == 0]
+            self._preclusions = PreclusionSet(self.space, null, provenance='measure')
+        return self._preclusions
 
     def is_strongly_positive(self) -> bool:
         """Exact positive semidefiniteness, by one symmetric elimination.
@@ -288,7 +291,6 @@ class DecoherenceMatrix:
         the real pivot, is subtracted from the rows below, and the Hermitian
         remainder (the Schur complement) is checked the same way.
         """
-        self._guard('strong-positivity check')
         m = [list(row) for row in self.entries]
         n = len(m)
         for k in range(n):

@@ -25,6 +25,7 @@ original parse.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -89,12 +90,15 @@ class Scenario:
 
     def decoherence_matrix(self) -> DecoherenceMatrix | None:
         """The matrix behind the measure; None for explicit preclusions."""
+        return self._matrix
+
+    @functools.cached_property
+    def _matrix(self) -> DecoherenceMatrix | None:
+        # built on first use and kept; not a field, so outside ==, hash and repr
         if self.mode == 'amplitudes':
             return DecoherenceMatrix.from_amplitudes(
                 self.space, self.amplitudes, self.blocks)
-        if self.mode == 'dmatrix':
-            return self.dmatrix
-        return None
+        return self.dmatrix  # None in explicit mode
 
     def preclusion_set(self) -> PreclusionSet:
         if self.mode == 'explicit':

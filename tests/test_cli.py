@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import coevents
+from coevents import DecoherenceMatrix, load_bundled
 from coevents.cli import main
 
 try:
@@ -151,9 +152,38 @@ def test_measure_guard_exits_2(tmp_path, capsys, argv):
     code, out, err = run(capsys, argv[0], str(f), *argv[1:])
     assert code == 2
     assert out == ''
-    assert err.startswith('error: ')
-    assert 'over 15 histories would enumerate 2^15 = 32768 events, ' \
-           'past MEASURE_GUARD of 14 histories' in err
+    # positivity enumerates nothing, so check stops at the absorption guard
+    work = 'null-absorption check' if argv[0] == 'check' else 'preclusion derivation'
+    assert err == (f'error: {work} over 15 histories would enumerate 2^15 = 32768 events, '
+                   'past MEASURE_GUARD of 14 histories\n')
+
+
+@pytest.mark.parametrize('flags', [(), ('--strong-positivity', '--classical', '--oracle')])
+def test_check_enumerates_each_measure_once(capsys, monkeypatch, flags):
+    counts = {'measure': 0, 'matrix': 0}
+    measure, init = DecoherenceMatrix.measure, DecoherenceMatrix.__init__
+
+    def counting_measure(self, event):
+        counts['measure'] += 1
+        return measure(self, event)
+
+    def counting_init(self, *args, **kwargs):
+        counts['matrix'] += 1
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(DecoherenceMatrix, 'measure', counting_measure)
+    monkeypatch.setattr(DecoherenceMatrix, '__init__', counting_init)
+    code, _, _ = run(capsys, 'check', 'three_slit', *flags)
+    assert code == 0
+    assert counts == {'measure': 8, 'matrix': 1}  # 2^3 events, one matrix
+
+
+@pytest.mark.parametrize('argv', [('preclusions',), ('check',),
+                                  ('solve', '--scheme', 'ideal')])
+def test_scenario_file_with_byte_order_mark(tmp_path, capsys, argv):
+    f = tmp_path / 'scn'
+    f.write_bytes(b'\xef\xbb\xbf' + load_bundled('two_slit').encode('utf-8'))
+    bundled = run(capsys, argv[0], 'two_slit', *argv[1:])
+    assert run(capsys, argv[0], str(f), *argv[1:])[:2] == bundled[:2]
 
 
 def test_malformed_scenario_reports_diagnostics(tmp_path, capsys):

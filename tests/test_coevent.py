@@ -224,12 +224,29 @@ def test_parse_term_cancellation(abc):
     assert parse_coevent('1+1+b*', abc) == parse_coevent('b*', abc)
 
 
-@pytest.mark.parametrize('bad', [
-    '', '0+a*', 'a', 'a*+', '+a*', 'q*', 'a**', 'a *b*', 'a*1', '1a*', 'a+b',
-])
+COEVENT_PARSE_ERRORS = {
+    '': ('empty coevent text', 0),
+    '0+a*': ("'0' cannot appear as a term", 0),
+    'a': ("term must be '1' or labels each followed by '*'", 0),
+    'a*+': ('empty term in coevent sum', 3),
+    '+a*': ('empty term in coevent sum', 0),
+    'q*': ("unknown history label 'q'", 0),
+    'a**': ("missing label before '*'", 2),
+    'a *b*': ('whitespace inside a term', 0),
+    'a*1': ("term must be '1' or labels each followed by '*'", 2),
+    '1a*': ("unknown history label '1a'", 0),
+    'a+b': ("term must be '1' or labels each followed by '*'", 0),
+    ' a* + b*q*': ("unknown history label 'q'", 8),
+    '  1+ +a*': ('empty term in coevent sum', 5),
+    'a*+  ': ('empty term in coevent sum', 3),
+}
+
+
+@pytest.mark.parametrize('bad', list(COEVENT_PARSE_ERRORS))
 def test_parse_errors(bad, abc):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         parse_coevent(bad, abc)
+    assert (info.value.message, info.value.position) == COEVENT_PARSE_ERRORS[bad]
 
 
 def test_parse_error_position(abc):

@@ -119,12 +119,28 @@ def test_parse_round_trip(abc):
         assert parse_event(render_event(ev), abc) == ev
 
 
-@pytest.mark.parametrize('bad', [
-    '', '{a', 'a}', '{a q}', 'q', '{a a}', 'a+', '+a', 'a++b', '{a} {b}',
-])
+EVENT_PARSE_ERRORS = {
+    '': ('empty event text', 0),
+    '{a': ("missing closing '}'", 1),
+    'a}': ("'}' without opening '{'", 1),
+    '{a q}': ("unknown history label 'q'", 3),
+    'q': ("unknown history label 'q'", 0),
+    '{a a}': ("duplicate label 'a' in event listing", 3),
+    'a+': ('empty term in event sum', 2),
+    '+a': ('empty term in event sum', 0),
+    'a++b': ('empty term in event sum', 2),
+    '{a} {b}': ("unknown history label 'a}'", 1),
+    ' a + q': ("unknown history label 'q'", 5),
+    '  a+ +b': ('empty term in event sum', 5),
+    'a+ ': ('empty term in event sum', 2),
+}
+
+
+@pytest.mark.parametrize('bad', list(EVENT_PARSE_ERRORS))
 def test_parse_errors(bad, abc):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         parse_event(bad, abc)
+    assert (info.value.message, info.value.position) == EVENT_PARSE_ERRORS[bad]
 
 
 def test_parse_error_positions(abc):

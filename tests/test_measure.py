@@ -151,6 +151,20 @@ class TestDecoherenceMatrix:
         assert p.provenance == 'measure'
         assert [str(ev) for ev in p.events] == ['{}', '{g1 g3}']
 
+    def test_preclusions_derived_once(self):
+        _, d = two_slit_matrix()
+        assert d.preclusions() is d.preclusions()
+
+    def test_absorption_reuses_the_preclusions(self, monkeypatch):
+        _, d = two_slit_matrix()
+        d.preclusions()
+        calls = []
+        original = DecoherenceMatrix.measure
+        monkeypatch.setattr(DecoherenceMatrix, 'measure',
+                            lambda self, ev: calls.append(ev) or original(self, ev))
+        assert d.null_absorption_holds()
+        assert calls == []
+
     def test_three_slit_measure(self, abc):
         d = DecoherenceMatrix.from_amplitudes(abc, [1, 1, -1])
         assert d.measure(abc.event(['a', 'b'])) == 4  # enhancement
@@ -262,7 +276,6 @@ def over_guard_matrix():
 
 @pytest.mark.parametrize('method, work', [
     ('preclusions', 'preclusion derivation'),
-    ('is_strongly_positive', 'strong-positivity check'),
     ('null_absorption_holds', 'null-absorption check'),
 ])
 class TestMeasureGuard:
@@ -282,6 +295,20 @@ class TestMeasureGuard:
         d5 = DecoherenceMatrix.from_amplitudes(SampleSpace('abcde'), [1, 1, -1, 1, 2])
         with pytest.raises(GuardError, match='past MEASURE_GUARD of 4 histories'):
             getattr(d5, method)()
+
+
+def test_positivity_answers_past_the_measure_guard():
+    # one O(n^3) elimination: no enumeration, so MEASURE_GUARD does not apply
+    n = 24
+    space = SampleSpace(f'h{i}' for i in range(n))
+    # Hermitian and diagonally dominant, so positive definite (full rank)
+    rows = [[gr(2 * n) if i == j else gr(1, 1 if i < j else -1) for j in range(n)]
+            for i in range(n)]
+    start = time.perf_counter()
+    assert DecoherenceMatrix(space, rows).is_strongly_positive()
+    rows[n - 1][n - 1] = gr(-1)
+    assert not DecoherenceMatrix(space, rows).is_strongly_positive()
+    assert time.perf_counter() - start < 2
 
 
 class TestPreclusionSet:

@@ -75,6 +75,22 @@ class TestRoundTrip:
         assert render_complex(d.entry(0, 1)) == '1/2+1/2i'
         assert parse_scenario(render_scenario(scenario)) == scenario
 
+    def test_matrix_built_once(self, three_slit):
+        assert three_slit.decoherence_matrix() is three_slit.decoherence_matrix()
+        dm = parse_scenario('histories x y\ndmatrix 1 0\ndmatrix 0 1\n')
+        assert dm.decoherence_matrix() is dm.decoherence_matrix()
+        assert dm.decoherence_matrix() is dm.dmatrix
+        explicit = parse_scenario('histories a b\nprecluded {a}\n')
+        assert explicit.decoherence_matrix() is None
+
+    def test_built_matrix_stays_out_of_equality(self):
+        text = load_bundled('two_slit')
+        a, b = parse_scenario(text), parse_scenario(text)
+        a.decoherence_matrix()
+        assert a == b
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b)
+
     def test_sum_form_normalizes(self):
         a = parse_scenario('histories a b\nprecluded a+b\n')
         b = parse_scenario('histories a b\nprecluded {a b}\n')
