@@ -1,5 +1,6 @@
 """Exact complex rationals, decoherence matrices, and preclusion sets."""
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -19,37 +20,20 @@ def gr(re, im=0):
 
 class TestGaussianRational:
 
-    def test_arithmetic(self):
-        a = gr(1, 2)
-        b = gr(3, -1)
-        assert a + b == gr(4, 1)
-        assert a - b == gr(-2, 3)
-        assert a * b == gr(5, 5)  # (1+2i)(3-i) = 3 - i + 6i + 2 = 5 + 5i
-        assert a / b == gr(Fraction(1, 10), Fraction(7, 10))
-        assert (a / b) * b == a
-        assert -a == gr(-1, -2)
-
-    def test_mixed_scalars(self):
-        assert gr(1, 1) + 1 == gr(2, 1)
-        assert 2 * gr(1, 1) == gr(2, 2)
-        assert gr(1) * Fraction(1, 2) == gr(Fraction(1, 2))
-        assert 1 - gr(0, 1) == gr(1, -1)
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            gr(1) / gr(0)
-
-    def test_conjugate_and_norm(self):
+    def test_value_semantics(self):
         a = gr(2, -3)
         assert a.conjugate() == gr(2, 3)
-        assert a.norm_squared() == 13
-        assert (a * a.conjugate()) == gr(13)
+        assert a == GaussianRational(2, -3)
+        assert hash(a) == hash(GaussianRational(2, -3))
+        assert isinstance(GaussianRational(2).re, Fraction)
+        assert str(a) == '2-3i'
 
-    def test_zero_test(self):
-        assert gr(0).is_zero()
-        assert not gr(0, 1).is_zero()
-        assert not bool(gr(0))
-        assert bool(gr(1))
+    def test_carries_no_arithmetic(self):
+        # computations read the Fraction parts; the value only parses and renders
+        with pytest.raises(TypeError):
+            gr(1, 2) + gr(3, -1)
+        with pytest.raises(TypeError):
+            2 * gr(1, 1)
 
 
 @pytest.mark.parametrize('text,expected', [
@@ -85,6 +69,19 @@ def test_render_complex(value, text):
 def test_parse_complex_errors(bad):
     with pytest.raises(ParseError):
         parse_complex(bad)
+
+
+@pytest.mark.parametrize('text, position', [
+    ('1' * 5000, 0),
+    ('-1/' + '7' * 5000, 0),
+    ('1+' + '2' * 5000 + 'i', 2),
+], ids=['numerator', 'denominator', 'imaginary'])
+def test_over_long_number_is_a_parse_error(text, position):
+    # past int's digit limit for str conversion (4,300 by default)
+    with pytest.raises(ParseError) as excinfo:
+        parse_complex(text)
+    assert excinfo.value.position == position
+    assert 'digits' in excinfo.value.message
 
 
 def two_slit_matrix():
@@ -144,6 +141,15 @@ class TestDecoherenceMatrix:
         assert d.measure(space.event(['g2', 'g4'])) == 4
         assert d.measure(space.full) == 4
         assert isinstance(d.measure(space.full), Fraction)
+        assert d.measure(space.empty) == 0
+        assert isinstance(d.measure(space.empty), Fraction)  # not the int 0 of a bare sum
+
+    @pytest.mark.parametrize('bad', [0.5, '1'])
+    def test_inexact_entries_refused(self, xy, bad):
+        with pytest.raises(TypeError):
+            DecoherenceMatrix(xy, [[bad, gr(0)], [gr(0), gr(1)]])
+        with pytest.raises(TypeError):
+            DecoherenceMatrix.from_amplitudes(xy, [1, bad])
 
     def test_two_slit_preclusions(self):
         space, d = two_slit_matrix()
@@ -220,14 +226,15 @@ class TestDecoherenceMatrix:
         # over a full-rank complex matrix must stay well inside 2 s
         n = measure.MEASURE_GUARD
         space = SampleSpace(f'h{i}' for i in range(n))
-        amps = [gr(i % 3 - 1, i % 2) for i in range(n)]
-        rows = [[amps[i] * amps[j].conjugate() + (i + 1 if i == j else 0) for j in range(n)]
-                for i in range(n)]
+        amps = [(i % 3 - 1, i % 2) for i in range(n)]
+        # α_i conj(α_j), plus i + 1 on the diagonal
+        rows = [[gr(a * x + b * y + (i + 1 if i == j else 0), b * x - a * y)
+                 for j, (x, y) in enumerate(amps)] for i, (a, b) in enumerate(amps)]
         d = DecoherenceMatrix(space, rows)
         start = time.perf_counter()
         assert d.is_strongly_positive()
         assert time.perf_counter() - start < 2.0
-        rows[n - 1][n - 1] -= n + 1 + amps[n - 1].norm_squared()
+        rows[n - 1][n - 1] = gr(-1)  # drop the last diagonal entry by n + 1 + |α|²
         assert not DecoherenceMatrix(space, rows).is_strongly_positive()
 
     def test_absorption_follows_positivity_here(self):
@@ -363,8 +370,56 @@ class TestPreclusionSet:
 # -- exhaustive references ---------------------------------------------------
 #
 # The principal-minor and subset-walk checks that `DecoherenceMatrix` used
-# before its one elimination and its row-sum test.  `is_strongly_positive`
-# and `null_absorption_holds` must agree with them on the corpus below.
+# before its one elimination and its row-sum test, and the measure as the
+# double sum 1_A^T D 1_A.  `is_strongly_positive`, `null_absorption_holds`
+# and `preclusions` must agree with them on the corpus below.  They compute
+# on (re, im) pairs of Fractions with the arithmetic written out here, so
+# they share no code with the module under test.
+
+ZERO = (Fraction(0), Fraction(0))
+
+
+def _pair(value):
+    return (value.re, value.im)
+
+
+def _add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _sub(a, b):
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def _mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _conj(a):
+    return (a[0], -a[1])
+
+
+def _div(a, b):
+    num = _mul(a, _conj(b))
+    norm = b[0] * b[0] + b[1] * b[1]
+    return (num[0] / norm, num[1] / norm)
+
+
+def reference_measures(d):
+    """μ(A) for every event mask A, summed pair by pair; each is real."""
+    n = d.space.size
+    rows = [[_pair(e) for e in row] for row in d.entries]
+    mu = {}
+    for bits in range(1 << n):
+        members = list(bit_indices(bits))
+        total = ZERO
+        for i in members:
+            for j in members:
+                total = _add(total, rows[i][j])
+        assert total[1] == 0, (bits, total)
+        mu[bits] = total[0]
+    return mu
+
 
 def minors_strongly_positive(self) -> bool:
     """Exact positive semidefiniteness: every principal minor is >= 0."""
@@ -372,18 +427,17 @@ def minors_strongly_positive(self) -> bool:
     n = self.space.size
     for subset in range(1, 1 << n):
         idx = [i for i in range(n) if subset >> i & 1]
-        minor = _determinant([[self.entries[i][j] for j in idx] for i in idx])
-        assert minor.im == 0
-        if minor.re < 0:
+        minor = _determinant([[_pair(self.entries[i][j]) for j in idx] for i in idx])
+        assert minor[1] == 0
+        if minor[0] < 0:
             return False
     return True
 
 
-def subset_walk_absorption(self) -> bool:
+def subset_walk_absorption(self, mu) -> bool:
     """μ(A ∪ N) = μ(A) for every null N disjoint from A, checked exhaustively."""
     self._guard('null-absorption check')
     full = (1 << self.space.size) - 1
-    mu = {ev.bits: self.measure(ev) for ev in self.space.events()}
     for null_bits, value in mu.items():
         if value != 0:
             continue
@@ -398,47 +452,63 @@ def subset_walk_absorption(self) -> bool:
     return True
 
 
-def _determinant(matrix: list[list[GaussianRational]]) -> GaussianRational:
-    """Exact determinant by Gaussian elimination over the Gaussian rationals."""
+def _determinant(matrix):
+    """Exact determinant by Gaussian elimination over (re, im) pairs."""
     n = len(matrix)
     m = [row[:] for row in matrix]
-    det = GaussianRational(1)
+    det = (Fraction(1), Fraction(0))
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
+        pivot_row = next((r for r in range(col, n) if m[r][col] != ZERO), None)
         if pivot_row is None:
-            return GaussianRational()
+            return ZERO
         if pivot_row != col:
             m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = -det
+            det = (-det[0], -det[1])
         pivot = m[col][col]
-        det = det * pivot
+        det = _mul(det, pivot)
         for r in range(col + 1, n):
-            if m[r][col].is_zero():
+            if m[r][col] == ZERO:
                 continue
-            factor = m[r][col] / pivot
-            m[r] = [m[r][k] - factor * m[col][k] for k in range(n)]
+            factor = _div(m[r][col], pivot)
+            m[r] = [_sub(m[r][k], _mul(factor, m[col][k])) for k in range(n)]
     return det
 
 
+# -- the corpus ----------------------------------------------------------------
+#
+# Generated as (re, im) pairs and handed to `DecoherenceMatrix` as
+# GaussianRationals; CORPUS_DIGEST pins the rendered entries, so a change to
+# a generator cannot silently swap the matrices the references are run on.
+
+CORPUS_DIGEST = 'c04ec400aaf51d4d128f9cdcc5d7412558d1e879f2c2c0a0064fbf52419985cc'
+
+
 def _gaussian(rng, spread=2):
-    return gr(rng.randint(-spread, spread), rng.randint(-spread, spread) * rng.randint(0, 1))
+    return (Fraction(rng.randint(-spread, spread)),
+            Fraction(rng.randint(-spread, spread) * rng.randint(0, 1)))
+
+
+def _matrix(space, rows):
+    return DecoherenceMatrix(space, [[gr(*e) for e in row] for row in rows])
 
 
 def _gram(space, vectors):
     """Σ_v v v^H: positive semidefinite, of rank at most len(vectors)."""
     n = space.size
-    zero = GaussianRational()
-    entries = [[sum((v[i] * v[j].conjugate() for v in vectors), zero) for j in range(n)]
-               for i in range(n)]
-    return DecoherenceMatrix(space, entries)
+    rows = [[ZERO] * n for _ in range(n)]
+    for v in vectors:
+        for i in range(n):
+            for j in range(n):
+                rows[i][j] = _add(rows[i][j], _mul(v[i], _conj(v[j])))
+    return rows
 
 
 def _hermitian(space, entries):
     """Symmetrise the upper triangle of `entries` (real diagonal) into a matrix."""
     n = space.size
-    rows = [[entries[i][j] if i < j else entries[j][i].conjugate() if i > j
-             else gr(entries[i][i].re) for j in range(n)] for i in range(n)]
-    return DecoherenceMatrix(space, rows)
+    rows = [[entries[i][j] if i < j else _conj(entries[j][i]) if i > j
+             else (entries[i][i][0], Fraction(0)) for j in range(n)] for i in range(n)]
+    return _matrix(space, rows)
 
 
 def _amplitude_matrix(rng, space):
@@ -447,13 +517,13 @@ def _amplitude_matrix(rng, space):
     labels = [rng.randrange(3) for _ in range(n)]
     blocks = [Event(space, sum(1 << i for i in range(n) if labels[i] == k))
               for k in sorted(set(labels))]
-    return DecoherenceMatrix.from_amplitudes(space, amps, blocks)
+    return DecoherenceMatrix.from_amplitudes(space, [gr(*a) for a in amps], blocks)
 
 
 def _low_rank(rng, space):
     n = space.size
     vectors = [[_gaussian(rng) for _ in range(n)] for _ in range(rng.randrange(n))]
-    return _gram(space, vectors)
+    return _matrix(space, _gram(space, vectors))
 
 
 def _zero_pivot(rng, space):
@@ -462,28 +532,28 @@ def _zero_pivot(rng, space):
     n = space.size
     vectors = [[_gaussian(rng) for _ in range(n)] for _ in range(rng.randint(1, n))]
     i, j = sorted(rng.sample(range(n), 2))
-    scale = rng.choice([0, 1, -1, gr(0, 1)])
+    scale = rng.choice([(0, 0), (1, 0), (-1, 0), (0, 1)])
     for v in vectors:
-        v[j] = v[i] * scale
-    d = _gram(space, vectors)
+        v[j] = _mul(v[i], scale)
+    rows = _gram(space, vectors)
     if rng.random() < 0.5:
-        rows = [list(row) for row in d.entries]
         k = rng.choice([k for k in range(n) if k != j])
-        rows[min(j, k)][max(j, k)] += _gaussian(rng, 1)
-        d = _hermitian(space, rows)
-    return d
+        a, b = min(j, k), max(j, k)
+        rows[a][b] = _add(rows[a][b], _gaussian(rng, 1))
+        return _hermitian(space, rows)
+    return _matrix(space, rows)
 
 
 def _indefinite(rng, space):
     n = space.size
-    return _hermitian(space, [[_gaussian(rng) if i != j else gr(rng.randint(-1, 3))
+    return _hermitian(space, [[_gaussian(rng) if i != j else (rng.randint(-1, 3), 0)
                                for j in range(n)] for i in range(n)])
 
 
 def _zero_diagonal(rng, space):
     n = space.size
     zeros = {i for i in range(n) if rng.random() < 0.4}
-    return _hermitian(space, [[gr(0) if i == j and i in zeros else _gaussian(rng, 1)
+    return _hermitian(space, [[ZERO if i == j and i in zeros else _gaussian(rng, 1)
                                for j in range(n)] for i in range(n)])
 
 
@@ -497,20 +567,23 @@ def _perturbed_null(rng, space):
     for k in set(labels):
         members = [i for i in bit_indices(null) if labels[i] == k]
         if members:
-            amps[members[-1]] = -sum(amps[i] for i in members[:-1])
-    blocks = [Event(space, sum(1 << i for i in range(n) if labels[i] == k))
-              for k in sorted(set(labels))]
-    rows = [list(row) for row in DecoherenceMatrix.from_amplitudes(space, amps, blocks).entries]
+            total = ZERO
+            for i in members[:-1]:
+                total = _add(total, amps[i])
+            amps[members[-1]] = (-total[0], -total[1])
+    rows = [[_mul(amps[i], _conj(amps[j])) if labels[i] == labels[j] else ZERO
+             for j in range(n)] for i in range(n)]
     outside = [i for i in range(n) if not null >> i & 1]
     if rng.random() < 0.5 and outside:
         for i in outside:
             for j in outside:
                 if i <= j:
-                    rows[i][j] += _gaussian(rng, 1)
+                    rows[i][j] = _add(rows[i][j], _gaussian(rng, 1))
     else:
         i = rng.choice(outside or range(n))
         j = rng.choice(list(bit_indices(null)))
-        rows[min(i, j)][max(i, j)] += _gaussian(rng, 1)
+        a, b = min(i, j), max(i, j)
+        rows[a][b] = _add(rows[a][b], _gaussian(rng, 1))
     return _hermitian(space, rows)
 
 
@@ -534,14 +607,25 @@ def measure_corpus():
             yield kind.__name__, kind(rng, space)
 
 
+def test_corpus_is_pinned():
+    digest = hashlib.sha256()
+    for kind, d in measure_corpus():
+        rendered = ';'.join(' '.join(render_complex(e) for e in row) for row in d.entries)
+        digest.update(f'{kind}:{rendered}\n'.encode())
+    assert digest.hexdigest() == CORPUS_DIGEST
+
+
 def test_elimination_and_row_sums_match_the_exhaustive_references():
     outcomes = {}
     total = 0
     for kind, d in measure_corpus():
+        mu = reference_measures(d)
+        assert d.preclusions().masks == {bits for bits, value in mu.items() if value == 0}, \
+            (kind, d.entries)
         psd = d.is_strongly_positive()
         absorbs = d.null_absorption_holds()
         assert psd == minors_strongly_positive(d), (kind, d.entries)
-        assert absorbs == subset_walk_absorption(d), (kind, d.entries)
+        assert absorbs == subset_walk_absorption(d, mu), (kind, d.entries)
         outcomes[psd, absorbs] = outcomes.get((psd, absorbs), 0) + 1
         total += 1
     assert total >= 2000

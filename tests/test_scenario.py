@@ -167,6 +167,14 @@ class TestDiagnostics:
     def test_zero_denominator_position(self):
         assert (2, 15) in positions('histories a b\namplitude a 1/0\namplitude b 1\n')
 
+    def test_over_long_number_position(self):
+        # past int's digit limit for str conversion: a diagnostic at the
+        # number, and the error on the next line is still reported
+        text = f'histories a b\namplitude a 2/{"3" * 5000}\namplitude q 1\n'
+        diags = diagnostics_of(text)
+        assert [(d.line, d.column) for d in diags][:2] == [(2, 13), (3, 11)]
+        assert 'digits' in diags[0].message
+
     def test_block_overlap(self):
         text = ('histories a b c\namplitude a 1\namplitude b 1\namplitude c 1\n'
                 'block a b\nblock b c\n')
