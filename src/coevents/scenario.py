@@ -242,12 +242,14 @@ def parse_scenario(text: str) -> Scenario:
 def _resolve_amplitudes(space, amp_lines, block_lines, diags):
     n = space.size
     values: dict[int, GaussianRational] = {}
+    given: set[int] = set()  # histories with an amplitude line, parsed or not
     for lineno, ((label, lcol), (number, ncol)) in amp_lines:
         try:
             index = space.index(label)
         except ValueError:
             diags.append(ParseDiagnostic(lineno, lcol, f'unknown history label {label!r}'))
             continue
+        given.add(index)
         if index in values:
             diags.append(ParseDiagnostic(lineno, lcol, f'duplicate amplitude for {label!r}'))
             continue
@@ -255,7 +257,7 @@ def _resolve_amplitudes(space, amp_lines, block_lines, diags):
             values[index] = parse_complex(number)
         except ParseError as exc:
             diags.append(ParseDiagnostic(lineno, ncol + exc.position, exc.message))
-    missing = [space.names[i] for i in range(n) if i not in values]
+    missing = [space.names[i] for i in range(n) if i not in given]
     if missing and amp_lines:
         diags.append(ParseDiagnostic(
             amp_lines[0][0], 1,

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import coevents
-from coevents import DecoherenceMatrix, load_bundled
+from coevents import DecoherenceMatrix, PreclusionSet, load_bundled
 from coevents.cli import main
 
 try:
@@ -159,9 +159,13 @@ def test_measure_guard_exits_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize('flags', [(), ('--strong-positivity', '--classical', '--oracle')])
-def test_check_enumerates_each_measure_once(capsys, monkeypatch, flags):
-    counts = {'measure': 0, 'matrix': 0}
+def test_check_enumerates_each_measure_once(tmp_path, capsys, monkeypatch, flags):
+    # one matrix and one preclusion derivation per check; entry by entry,
+    # the derivation measures each of the 2^3 events once, while amplitudes
+    # take per-block subset sums and measure no event
+    counts = {}
     measure, init = DecoherenceMatrix.measure, DecoherenceMatrix.__init__
+    preclusion_init = PreclusionSet.__init__
 
     def counting_measure(self, event):
         counts['measure'] += 1
@@ -170,11 +174,20 @@ def test_check_enumerates_each_measure_once(capsys, monkeypatch, flags):
     def counting_init(self, *args, **kwargs):
         counts['matrix'] += 1
         init(self, *args, **kwargs)
+
+    def counting_preclusions(self, space, events=(), provenance='explicit'):
+        counts['derivations'] += provenance == 'measure'
+        preclusion_init(self, space, events, provenance)
     monkeypatch.setattr(DecoherenceMatrix, 'measure', counting_measure)
     monkeypatch.setattr(DecoherenceMatrix, '__init__', counting_init)
-    code, _, _ = run(capsys, 'check', 'three_slit', *flags)
-    assert code == 0
-    assert counts == {'measure': 8, 'matrix': 1}  # 2^3 events, one matrix
+    monkeypatch.setattr(PreclusionSet, '__init__', counting_preclusions)
+    f = tmp_path / 'scn'
+    f.write_text('histories a b c\ndmatrix 1 -1 0\ndmatrix -1 1 0\ndmatrix 0 0 1\n')
+    for scenario, events in ((str(f), 8), ('three_slit', 0)):
+        counts.update(measure=0, matrix=0, derivations=0)
+        code, _, _ = run(capsys, 'check', scenario, *flags)
+        assert code == 0
+        assert counts == {'measure': events, 'matrix': 1, 'derivations': 1}, scenario
 
 
 @pytest.mark.parametrize('argv', [('preclusions',), ('check',),

@@ -632,3 +632,98 @@ def test_elimination_and_row_sums_match_the_exhaustive_references():
     # μ(N) = 0 forces D·1_N = 0 on a PSD matrix, so (True, False) cannot occur
     assert set(outcomes) == {(True, True), (False, True), (False, False)}
     assert min(outcomes.values()) >= 50, outcomes
+
+
+# -- the amplitude corpus --------------------------------------------------------
+#
+# `from_amplitudes` matrices derive their preclusions from per-block amplitude
+# subset sums; an entry-built twin with the same entries takes the per-event
+# walk.  Both must match the reference measures.  AMPLITUDE_DIGEST pins the
+# amplitudes and blocks.
+
+AMPLITUDE_DIGEST = 'e2dc9311f6725bc786171ac1fcaf443768262f00566f7d827b647cc0f0ff577b'
+AMPLITUDE_COUNTS = {1: 30, 2: 60, 3: 80, 4: 80, 5: 50, 6: 30, 7: 16, 8: 8, 9: 4,
+                    10: 2, 11: 1, 12: 1, 14: 1}
+
+
+def _amplitude(rng):
+    if rng.random() < 0.15:
+        return ZERO
+    re = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+    im = Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.5 else Fraction(0)
+    return (re, im)
+
+
+def _amplitude_case(rng, n):
+    """Amplitudes and blocks over n histories, with cancellations planted:
+    in some blocks the last of a few members cancels the others' sum, and
+    now and then a whole block is zero."""
+    labels = [rng.randrange(rng.randint(1, min(n, 4))) for _ in range(n)]
+    members = [[i for i in range(n) if labels[i] == k] for k in sorted(set(labels))]
+    amps = [_amplitude(rng) for _ in range(n)]
+    for block in members:
+        if rng.random() < 0.1:
+            for i in block:
+                amps[i] = ZERO
+        elif len(block) > 1 and rng.random() < 0.6:
+            chosen = rng.sample(block, rng.randint(2, len(block)))
+            total = ZERO
+            for i in chosen[:-1]:
+                total = _add(total, amps[i])
+            amps[chosen[-1]] = (-total[0], -total[1])
+    return amps, members
+
+
+def amplitude_corpus():
+    """Seeded amplitude-built matrices at n = 1..12 and one at n = 14."""
+    rng = random.Random(20070702)
+    for n, count in AMPLITUDE_COUNTS.items():
+        space = SampleSpace(f'h{i}' for i in range(n))
+        for _ in range(count):
+            amps, members = _amplitude_case(rng, n)
+            blocks = [Event(space, sum(1 << i for i in block)) for block in members]
+            yield amps, members, DecoherenceMatrix.from_amplitudes(
+                space, [gr(*a) for a in amps], blocks)
+
+
+def _amplitude_kinds(amps, members, null_masks):
+    zero = {i for i, a in enumerate(amps) if a == ZERO}
+    denominators = [{x.denominator for i in block for x in amps[i] if x} for block in members]
+    kinds = {
+        'several blocks': len(members) > 1,
+        'single-history block': any(len(block) == 1 for block in members),
+        'zero amplitude': bool(zero),
+        'all-zero block': any(len(block) > 1 and set(block) <= zero for block in members),
+        'mixed denominators': any(len(d) > 1 for d in denominators),
+        'complex': any(a[1] for a in amps),
+        # a null event with a history of nonzero amplitude: a real cancellation
+        'cancellation': any(set(bit_indices(m)) - zero for m in null_masks),
+    }
+    return {kind for kind, present in kinds.items() if present}
+
+
+def test_amplitude_corpus_is_pinned():
+    digest = hashlib.sha256()
+    for amps, members, _ in amplitude_corpus():
+        rendered = ' '.join(render_complex(gr(*a)) for a in amps)
+        digest.update(f'{rendered}|{members}\n'.encode())
+    assert digest.hexdigest() == AMPLITUDE_DIGEST
+
+
+def test_amplitude_preclusions_match_the_per_event_walk():
+    kinds = dict.fromkeys(['several blocks', 'single-history block', 'zero amplitude',
+                           'all-zero block', 'mixed denominators', 'complex',
+                           'cancellation'], 0)
+    sizes = set()
+    for amps, members, d in amplitude_corpus():
+        twin = DecoherenceMatrix(d.space, d.entries)
+        assert d == twin and hash(d) == hash(twin)
+        mu = reference_measures(d)
+        expected = {bits for bits, value in mu.items() if value == 0}
+        assert d.preclusions().masks == expected, (amps, members)
+        assert twin.preclusions().masks == expected, (amps, members)
+        for kind in _amplitude_kinds(amps, members, expected):
+            kinds[kind] += 1
+        sizes.add(d.space.size)
+    assert sizes == set(AMPLITUDE_COUNTS)
+    assert min(kinds.values()) >= 20, kinds

@@ -164,6 +164,15 @@ class TestDiagnostics:
         # the column points into the bad number, not at the directive
         assert (2, 13) in positions('histories a b\namplitude a 1.5\namplitude b 1\n')
 
+    def test_unparsed_amplitude_is_not_missing(self):
+        # 'a' has an amplitude line, so the bad number is the one problem
+        diags = diagnostics_of('histories a b\namplitude a 1.5\namplitude b 1\n')
+        assert [(d.line, d.column, d.message) for d in diags] == [
+            (2, 13, "malformed complex number '1.5'")]
+        diags = diagnostics_of('histories a b\namplitude a 1\n')
+        assert [(d.line, d.column, d.message) for d in diags] == [
+            (2, 1, "missing amplitude for 'b'")]
+
     def test_zero_denominator_position(self):
         assert (2, 15) in positions('histories a b\namplitude a 1/0\namplitude b 1\n')
 
