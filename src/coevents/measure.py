@@ -5,26 +5,20 @@ imaginary parts); all arithmetic runs on those parts, so zero tests, and
 therefore preclusion, are exact; no floating point enters anywhere.
 
 The measure of an event A is the double sum of decoherence-matrix entries
-over pairs of members of A.  Hermiticity makes the value real; strong
-positivity (positive semidefiniteness, decided here exactly by one
-symmetric Gaussian elimination) makes it non-negative.  A matrix built
-from history amplitudes via :meth:`DecoherenceMatrix.from_amplitudes` is a
-sum of outer products and is always strongly positive.  Amplitudes are
-used unnormalised: preclusion is scale invariant, so overall constants
-are irrelevant and dropping them keeps the arithmetic rational.
+over pairs of members of A.  Hermiticity makes it real; strong positivity
+(positive semidefiniteness, decided once by one exact elimination) makes it
+non-negative.  Amplitudes are used unnormalised: preclusion is scale
+invariant.  A matrix from amplitudes is PSD; it keeps each block's
+amplitudes as Gaussian integers and builds its n×n entries only when read.
 
-The preclusions are derived once per matrix: the matrix keeps the set, and
-the null-absorption check reads it and then tests one row sum per null and
-history.  A matrix from amplitudes keeps its blocks, and an event is null
-exactly when its amplitudes sum to zero in every block, so the derivation
-costs Σ_b 2^|b| integer subset sums; any other matrix measures all 2^n
-events, n(n+1)·2^(n-2) pair terms in all.  Both refuse spaces of more than
-``MEASURE_GUARD`` histories with a :class:`GuardError` before any work.
-The O(n^3) positivity check enumerates nothing and has no guard of its own.
-
-A :class:`PreclusionSet` records the events of measure zero, whether
-computed from a matrix or declared outright; the empty event always
-belongs to it.
+A :class:`PreclusionSet` holds the events of measure zero, computed or
+declared, and always the empty event.  A matrix derives its set once: from
+amplitudes, by a meet in the middle over each block's subset sums,
+Σ_b 2^⌈|b|/2⌉ plus the output, refusing more than 2^``MEASURE_GUARD``
+nulls; otherwise by measuring all 2^n events, refusing more than
+``MEASURE_GUARD`` histories.  A :class:`GuardError` comes before any null
+is built.  Only a matrix that is not PSD may fail to absorb its nulls, so
+only those test a row sum per null and history.
 
 Complex literal grammar (scenario files and the CLI)::
 
@@ -55,7 +49,7 @@ __all__ = [
     'render_complex',
 ]
 
-MEASURE_GUARD = 14  # preclusions (so absorption) enumerate 2^n events
+MEASURE_GUARD = 14  # events walked are at most 2^this, as are nulls listed
 
 _Scalar = Union['GaussianRational', Fraction, int]
 
@@ -143,20 +137,23 @@ def first_non_hermitian(rows: Sequence[Sequence[GaussianRational]]) -> tuple[int
 class DecoherenceMatrix:
     """Hermitian matrix D over a space, defining μ(A) = Σ_{γ,γ' ∈ A} D(γ,γ')."""
 
-    __slots__ = ('space', 'entries', '_preclusions', '_blocks')
+    __slots__ = ('space', '_entries', '_blocks', '_preclusions', '_positive')
 
-    def __init__(self, space: SampleSpace, entries: Sequence[Sequence[_Scalar]]):
-        n = space.size
-        rows = tuple(tuple(_gaussian(e) for e in row) for row in entries)
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise ValueError(f'decoherence matrix must be {n}x{n}')
-        bad = first_non_hermitian(rows)
-        if bad is not None:
-            raise ValueError(f'matrix is not Hermitian at {bad}')
+    def __init__(self, space: SampleSpace, entries: Sequence[Sequence[_Scalar]] | None,
+                 _blocks: tuple | None = None):
         self.space = space
-        self.entries = rows
+        self._blocks = _blocks  # per block ((index, re, im), ...) and scale, if from amplitudes
         self._preclusions: PreclusionSet | None = None
-        self._blocks: tuple | None = None  # per block (indices, amplitudes), if built from them
+        self._entries = self._positive = None  # from amplitudes: built, or True, on first use
+        if _blocks is None:
+            n = space.size
+            rows = tuple(tuple(_gaussian(e) for e in row) for row in entries)
+            if len(rows) != n or any(len(row) != n for row in rows):
+                raise ValueError(f'decoherence matrix must be {n}x{n}')
+            bad = first_non_hermitian(rows)
+            if bad is not None:
+                raise ValueError(f'matrix is not Hermitian at {bad}')
+            self._entries = rows
 
     @classmethod
     def from_amplitudes(cls, space: SampleSpace, amplitudes: Sequence[_Scalar],
@@ -170,30 +167,35 @@ class DecoherenceMatrix:
         n = space.size
         if len(amps) != n:
             raise ValueError(f'need one amplitude per history ({n}), got {len(amps)}')
-        if blocks is None:
-            block_list = [space.full]
-        else:
-            block_list = list(blocks)
-        covered = 0
-        block_of = [-1] * n
-        for k, block in enumerate(block_list):
+        block_list = [space.full] if blocks is None else list(blocks)
+        covered, factors = 0, []
+        for block in block_list:
             if not isinstance(block, Event) or block.space != space:
                 raise SpaceMismatchError('block is not an event over this space')
             if covered & block.bits:
                 raise ValueError('blocks overlap')
             covered |= block.bits
-            for i in block.indices:
-                block_of[i] = k
+            parts = [x for i in block.indices for x in (amps[i].re, amps[i].im)]
+            scale = lcm(*(x.denominator for x in parts))
+            ints = [x.numerator * (scale // x.denominator) for x in parts]
+            factors.append((tuple(zip(block.indices, ints[::2], ints[1::2])), scale))
         if covered != (1 << n) - 1:
             raise ValueError('blocks do not cover every history')
-        zero = GaussianRational()
-        entries = [[GaussianRational(a.re * b.re + a.im * b.im, a.im * b.re - a.re * b.im)
-                    if block_of[i] == block_of[j] else zero
-                    for j, b in enumerate(amps)] for i, a in enumerate(amps)]
-        matrix = cls(space, entries)
-        matrix._blocks = tuple((block.indices, tuple(amps[i] for i in block.indices))
-                               for block in block_list)
-        return matrix
+        return cls(space, None, tuple(factors))
+
+    @property
+    def entries(self) -> tuple[tuple[GaussianRational, ...], ...]:
+        """The rows of D; from amplitudes, built on first read (and Hermitian)."""
+        if self._entries is None:
+            n = self.space.size
+            rows = [[GaussianRational()] * n for _ in range(n)]
+            for terms, scale in self._blocks:
+                for i, a, b in terms:
+                    for j, c, d in terms:
+                        rows[i][j] = GaussianRational(Fraction(a * c + b * d, scale * scale),
+                                                      Fraction(b * c - a * d, scale * scale))
+            self._entries = tuple(map(tuple, rows))
+        return self._entries
 
     def entry(self, i: int, j: int) -> GaussianRational:
         return self.entries[i][j]
@@ -206,17 +208,14 @@ class DecoherenceMatrix:
         return hash((self.space, self.entries))
 
     def __repr__(self) -> str:
-        return f'DecoherenceMatrix({self.space!r}, {len(self.entries)}x{len(self.entries)})'
+        return f'DecoherenceMatrix({self.space!r}, {self.space.size}x{self.space.size})'
 
     def measure(self, event: Event) -> Fraction:
-        """μ(A): exact and real; zero means precluded.
-
-        Only real parts are summed: D is Hermitian, so Im D(γ,γ') cancels.
-        """
+        """μ(A), exact; zero means precluded.  D is Hermitian, so only real parts count."""
         if event.space != self.space:
             raise SpaceMismatchError('event belongs to a different sample space')
-        members = event.indices
-        return sum((self.entries[i][j].re for i in members for j in members), Fraction(0))
+        rows, members = self.entries, event.indices
+        return sum((rows[i][j].re for i in members for j in members), Fraction(0))
 
     def _guard(self, work: str) -> None:
         n = self.space.size
@@ -228,93 +227,94 @@ class DecoherenceMatrix:
     def preclusions(self) -> 'PreclusionSet':
         """All events of measure zero, derived once.
 
-        From amplitudes, μ(A) = Σ_b |Σ_{γ∈A∩b} α_γ|², so A is null exactly
-        when its part in every block sums to zero: the null events are the
-        products of each block's zero-sum subsets, found by Σ_b 2^|b|
-        integer subset sums.  Otherwise the 2^n events sum n(n+1)·2^(n-2)
-        pair terms in all: O(n²·2^n).
+        From amplitudes, μ(A) = Σ_b |Σ_{γ∈A∩b} α_γ|²: each block's halves
+        list their subset sums, joined on the negated sum, Σ_b 2^⌈|b|/2⌉
+        integer sums plus the output.  Otherwise O(n²·2^n) pair terms.
         """
-        self._guard('preclusion derivation')
         if self._preclusions is None:
             if self._blocks is None:
+                self._guard('preclusion derivation')
                 null = [ev for ev in self.space.events() if self.measure(ev) == 0]
             else:
-                masks = [0]
-                for indices, amps in self._blocks:
-                    zeros = _zero_sum_subsets(indices, amps)
-                    masks = [m | z for m in masks for z in zeros]
-                null = [Event(self.space, m) for m in masks]
+                null = [Event(self.space, m) for m in self._block_nulls()]
             self._preclusions = PreclusionSet(self.space, null, provenance='measure')
         return self._preclusions
 
-    def is_strongly_positive(self) -> bool:
-        """Exact positive semidefiniteness, by one symmetric elimination.
+    def _block_nulls(self) -> list[int]:
+        joins, count = [], 1
+        for terms, _ in self._blocks:
+            half = len(terms) // 2
+            low, high = _subset_sums(terms[:half]), _subset_sums(terms[half:])
+            pairs = [(masks, high[-r, -i]) for (r, i), masks in low.items() if (-r, -i) in high]
+            count *= sum(len(a) * len(b) for a, b in pairs)
+            joins.append(pairs)
+        if count > 1 << MEASURE_GUARD:
+            raise GuardError(
+                f'preclusion derivation over {self.space.size} histories would list {count} '
+                f'null events, past MEASURE_GUARD of 2^{MEASURE_GUARD} = {1 << MEASURE_GUARD}')
+        masks = [0]
+        for pairs in joins:
+            masks = [m | a | b for m in masks for lo, hi in pairs for a in lo for b in hi]
+        return masks
 
-        The elimination runs on D itself, its real and imaginary parts kept
-        as two Fraction matrices, and updates only the upper triangle: the
-        Schur complement of a pivot is Hermitian again, and its entry below
-        the diagonal is the conjugate of the one above.  A negative pivot,
-        or a zero pivot with a nonzero entry left in its row (a negative
-        2x2 principal minor), means D is not PSD; otherwise the Schur
-        complement below the pivot is checked the same way.
+    def is_strongly_positive(self) -> bool:
+        """Exact positive semidefiniteness, decided once; True from amplitudes.
+
+        One symmetric elimination on the real and imaginary parts updates only
+        the upper triangle (each Schur complement is Hermitian); a negative
+        pivot, or a zero pivot with a nonzero entry left in its row, fails.
         """
-        re = [[e.re for e in row] for row in self.entries]
-        im = [[e.im for e in row] for row in self.entries]
-        n = len(re)
-        for k in range(n):
-            pivot, re_k, im_k = re[k][k], re[k], im[k]
-            if pivot < 0:
-                return False
-            if pivot == 0:
-                if any(re_k[k + 1:]) or any(im_k[k + 1:]):
-                    return False
-                continue
-            for i in range(k + 1, n):
-                # row i loses (D_ik / pivot) times row k, with D_ik = conj(D_ki)
-                a, b = re_k[i] / pivot, -im_k[i] / pivot
-                if a or b:
-                    terms = list(zip(re[i][i:], im[i][i:], re_k[i:], im_k[i:]))
-                    re[i][i:] = [x - a * c + b * d for x, _, c, d in terms]
-                    im[i][i:] = [y - a * d - b * c for _, y, c, d in terms]
-        return True
+        if self._positive is None:
+            self._positive = self._blocks is not None or _eliminates(self._entries)
+        return self._positive
 
     def null_absorption_holds(self) -> bool:
         """μ(A ∪ N) = μ(A) for every null N and every A disjoint from it.
 
         μ(A ∪ N) = μ(A) + μ(N) + 2·Re Σ_{i∈A, j∈N} D_ij, so for a null N
         this holds for every such A iff Re Σ_{j∈N} D_ij = 0 for each
-        history i outside N.  No positivity is assumed.
+        history i outside N, which a PSD matrix meets: μ(N) = 0 forces D·1_N = 0.
         """
+        if self.is_strongly_positive():
+            return True
         self._guard('null-absorption check')
-        n = self.space.size
-        for null in self.preclusions().masks:
-            members = tuple(bit_indices(null))
-            for i in range(n):
-                if not null >> i & 1 and sum(self.entries[i][j].re for j in members) != 0:
-                    return False
-        return True
+        rows = self.entries
+        return all(sum(rows[i][j].re for j in bit_indices(null)) == 0
+                   for null in self.preclusions().masks
+                   for i in range(self.space.size) if not null >> i & 1)
 
 
-def _zero_sum_subsets(indices: Sequence[int],
-                      amps: Sequence[GaussianRational]) -> list[int]:
-    """Space-wide masks of one block's subsets, the empty one included,
-    whose amplitudes sum to zero.  Scaling by the lcm of the denominators
-    keeps the zeros and leaves pairs of ints; subset s sums to s without
-    its lowest member, plus that member's amplitude."""
-    scale = lcm(*(x.denominator for a in amps for x in (a.re, a.im)))
-    re = [a.re.numerator * (scale // a.re.denominator) for a in amps]
-    im = [a.im.numerator * (scale // a.im.denominator) for a in amps]
-    size = 1 << len(indices)
-    sum_re, sum_im = [0] * size, [0] * size
-    zeros = [0]
-    for s in range(1, size):
-        low = s & -s
-        k = low.bit_length() - 1
-        sum_re[s] = r = sum_re[s ^ low] + re[k]
-        sum_im[s] = i = sum_im[s ^ low] + im[k]
-        if not r and not i:
-            zeros.append(sum(1 << indices[j] for j in bit_indices(s)))
-    return zeros
+def _eliminates(entries: Sequence[Sequence[GaussianRational]]) -> bool:
+    re = [[e.re for e in row] for row in entries]
+    im = [[e.im for e in row] for row in entries]
+    n = len(re)
+    for k in range(n):
+        pivot, re_k, im_k = re[k][k], re[k], im[k]
+        if pivot < 0:
+            return False
+        if pivot == 0:
+            if any(re_k[k + 1:]) or any(im_k[k + 1:]):
+                return False
+            continue
+        for i in range(k + 1, n):
+            # row i loses (D_ik / pivot) times row k, with D_ik = conj(D_ki)
+            a, b = re_k[i] / pivot, -im_k[i] / pivot
+            if a or b:
+                terms = list(zip(re[i][i:], im[i][i:], re_k[i:], im_k[i:]))
+                re[i][i:] = [x - a * c + b * d for x, _, c, d in terms]
+                im[i][i:] = [y - a * d - b * c for _, y, c, d in terms]
+    return True
+
+
+def _subset_sums(terms: Sequence[tuple[int, int, int]]) -> dict:
+    """Space-wide masks of the subsets of `terms` (index, re, im), by amplitude sum."""
+    sums = [((0, 0), 0)]
+    for k, r, i in terms:
+        sums += [((x + r, y + i), m | 1 << k) for (x, y), m in sums]
+    table: dict[tuple[int, int], list[int]] = {}
+    for key, mask in sums:
+        table.setdefault(key, []).append(mask)
+    return table
 
 
 class PreclusionSet:

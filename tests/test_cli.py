@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -145,10 +146,11 @@ def test_check_oracle_guard_skip(capsys):
     ('solve', '--scheme', 'multiplicative'),
 ])
 def test_measure_guard_exits_2(tmp_path, capsys, argv):
-    labels = [f'h{i}' for i in range(15)]
+    # diag(1, -1, ...): entry-built and not PSD, so absorption needs the nulls
     f = tmp_path / 'scn'
-    f.write_text('histories ' + ' '.join(labels) + '\n'
-                 + ''.join(f'amplitude {l} {(-1) ** i}\n' for i, l in enumerate(labels)))
+    f.write_text('histories ' + ' '.join(f'h{i}' for i in range(15)) + '\n' + ''.join(
+        'dmatrix ' + ' '.join(str((-1) ** i) if i == j else '0' for j in range(15)) + '\n'
+        for i in range(15)))
     code, out, err = run(capsys, argv[0], str(f), *argv[1:])
     assert code == 2
     assert out == ''
@@ -156,6 +158,51 @@ def test_measure_guard_exits_2(tmp_path, capsys, argv):
     work = 'null-absorption check' if argv[0] == 'check' else 'preclusion derivation'
     assert err == (f'error: {work} over 15 histories would enumerate 2^15 = 32768 events, '
                    'past MEASURE_GUARD of 14 histories\n')
+
+
+@pytest.mark.parametrize('argv', [
+    ('preclusions',),
+    ('check',),
+    ('solve', '--scheme', 'multiplicative'),
+])
+def test_amplitude_null_guard_exits_2(tmp_path, capsys, argv):
+    # 15 zero amplitudes: all 2^15 events are null; check passes positivity
+    # and absorption without them and stops at the classical check
+    labels = [f'h{i}' for i in range(15)]
+    f = tmp_path / 'scn'
+    f.write_text('histories ' + ' '.join(labels) + '\n'
+                 + ''.join(f'amplitude {l} 0\n' for l in labels))
+    code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+    assert (code, out) == (2, '')
+    assert err == ('error: preclusion derivation over 15 histories would list 32768 null '
+                   'events, past MEASURE_GUARD of 2^14 = 16384\n')
+    code, out, _ = run(capsys, 'check', str(f), '--strong-positivity')
+    assert (code, out) == (0, 'strong positivity: PASS\nnull-set absorption: PASS\n')
+
+
+def test_single_block_of_24_answers_within_a_second(tmp_path, capsys):
+    # ±3^k for even k and ±3^k·i for odd k, k < 12: balanced ternary makes a
+    # subset null exactly when it takes both or neither of each pair
+    labels = [f'h{i}' for i in range(24)]
+    values = [f'{sign}{3 ** k}' + ('i' if k % 2 else '') for k in range(12) for sign in ('-', '')]
+    f = tmp_path / 'scn'
+    f.write_text('histories ' + ' '.join(labels) + '\n'
+                 + ''.join(f'amplitude {l} {v}\n' for l, v in zip(labels, values)))
+    pairs = [f'h{2 * k} h{2 * k + 1}' for k in range(12)]
+    start = time.perf_counter()
+    code, out, err = run(capsys, 'preclusions', str(f))
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, '')
+    nulls = out.splitlines()
+    assert len(nulls) == 1 << 12
+    assert nulls[:3] == ['{}', '{' + pairs[0] + '}', '{' + pairs[1] + '}']
+    assert nulls[-1] == '{' + ' '.join(pairs) + '}'
+    start = time.perf_counter()
+    code, out, err = run(capsys, 'check', str(f))
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, '')
+    assert out == ('strong positivity: PASS\nnull-set absorption: PASS\n'
+                   'classical preclusion set: no\n')
 
 
 @pytest.mark.parametrize('flags', [(), ('--strong-positivity', '--classical', '--oracle')])

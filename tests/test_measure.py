@@ -1,6 +1,7 @@
 """Exact complex rationals, decoherence matrices, and preclusion sets."""
 
 import hashlib
+import math
 import random
 import time
 from fractions import Fraction
@@ -275,10 +276,16 @@ class TestDecoherenceMatrix:
         assert d.null_absorption_holds()
 
 
-def over_guard_matrix():
-    n = measure.MEASURE_GUARD + 1
+def indefinite_diagonal(n):
+    """diag(1, -1, 1, ...) over n histories: entry-built and not PSD, so
+    absorption needs the nulls as the derivation does."""
     space = SampleSpace(f'h{i}' for i in range(n))
-    return DecoherenceMatrix.from_amplitudes(space, [1, -1] * (n // 2) + [1] * (n % 2))
+    return DecoherenceMatrix(space, [[gr((-1) ** i if i == j else 0) for j in range(n)]
+                                     for i in range(n)])
+
+
+def over_guard_matrix():
+    return indefinite_diagonal(measure.MEASURE_GUARD + 1)
 
 
 @pytest.mark.parametrize('method, work', [
@@ -297,11 +304,30 @@ class TestMeasureGuard:
 
     def test_guard_is_inclusive(self, method, work, monkeypatch):
         monkeypatch.setattr(measure, 'MEASURE_GUARD', 4)
-        _, d = two_slit_matrix()  # n = 4 is still allowed
-        getattr(d, method)()
-        d5 = DecoherenceMatrix.from_amplitudes(SampleSpace('abcde'), [1, 1, -1, 1, 2])
+        getattr(indefinite_diagonal(4), method)()  # n = 4 is still allowed
         with pytest.raises(GuardError, match='past MEASURE_GUARD of 4 histories'):
-            getattr(d5, method)()
+            getattr(indefinite_diagonal(5), method)()
+
+
+@pytest.mark.parametrize('sizes', [(15,), (5, 5, 5)], ids=['one block', 'three blocks'])
+def test_amplitude_guard_counts_nulls(sizes):
+    # 15 zero amplitudes make all 2^15 events null, twice the most that
+    # 14 histories can give; the block counts multiply to that total
+    space = SampleSpace(f'h{i}' for i in range(15))
+    starts = [sum(sizes[:k]) for k in range(len(sizes) + 1)]
+    blocks = [Event(space, (1 << b) - (1 << a)) for a, b in zip(starts, starts[1:])]
+    d = DecoherenceMatrix.from_amplitudes(space, [0] * 15, blocks)
+    with pytest.raises(GuardError) as excinfo:
+        d.preclusions()
+    assert str(excinfo.value) == (
+        'preclusion derivation over 15 histories would list 32768 null events, '
+        'past MEASURE_GUARD of 2^14 = 16384')
+    # PSD, so absorption holds without the nulls, and without the entries
+    assert d.null_absorption_holds()
+    assert d._entries is None
+    # one nonzero amplitude leaves 2^14 nulls, the most admitted
+    d = DecoherenceMatrix.from_amplitudes(space, [0] * 14 + [1], blocks)
+    assert len(d.preclusions()) == 1 << 14
 
 
 def test_positivity_answers_past_the_measure_guard():
@@ -406,19 +432,27 @@ def _div(a, b):
 
 
 def reference_measures(d):
-    """μ(A) for every event mask A, summed pair by pair; each is real."""
+    """μ(A) for every event mask A; each is real.
+
+    On the entries times the lcm s of their denominators, 1_A^T D 1_A for
+    A with lowest member k is the value for A without k, plus D_kk, plus
+    D_kj + D_jk for every other member j."""
     n = d.space.size
-    rows = [[_pair(e) for e in row] for row in d.entries]
-    mu = {}
-    for bits in range(1 << n):
-        members = list(bit_indices(bits))
-        total = ZERO
-        for i in members:
-            for j in members:
-                total = _add(total, rows[i][j])
-        assert total[1] == 0, (bits, total)
-        mu[bits] = total[0]
-    return mu
+    parts = [x for row in d.entries for e in row for x in (e.re, e.im)]
+    s = math.lcm(*(x.denominator for x in parts))
+    ints = [x.numerator * (s // x.denominator) for x in parts]
+    re = [ints[2 * n * i:2 * n * (i + 1):2] for i in range(n)]
+    im = [ints[2 * n * i + 1:2 * n * (i + 1):2] for i in range(n)]
+    total_re, total_im = [0] * (1 << n), [0] * (1 << n)
+    for bits in range(1, 1 << n):
+        low = bits & -bits
+        k = low.bit_length() - 1
+        rest = bits ^ low
+        others = [j for j in range(k + 1, n) if rest >> j & 1]
+        total_re[bits] = total_re[rest] + re[k][k] + sum(re[k][j] + re[j][k] for j in others)
+        total_im[bits] = total_im[rest] + im[k][k] + sum(im[k][j] + im[j][k] for j in others)
+        assert total_im[bits] == 0, (bits, total_im[bits])
+    return {bits: Fraction(value, s) for bits, value in enumerate(total_re)}
 
 
 def minors_strongly_positive(self) -> bool:
@@ -710,6 +744,21 @@ def test_amplitude_corpus_is_pinned():
     assert digest.hexdigest() == AMPLITUDE_DIGEST
 
 
+def test_amplitude_entries_are_outer_products():
+    # built on first read from the kept Gaussian integers, and not checked
+    # for Hermiticity: each must be α_i conj(α_j) within a block, else zero
+    checked = 0
+    for amps, members, d in amplitude_corpus():
+        assert d._entries is None
+        block_of = {i: k for k, block in enumerate(members) for i in block}
+        n = d.space.size
+        assert [[_pair(e) for e in row] for row in d.entries] == [
+            [_mul(amps[i], _conj(amps[j])) if block_of[i] == block_of[j] else ZERO
+             for j in range(n)] for i in range(n)]
+        checked += any(a[1] for a in amps)
+    assert checked >= 20  # complex amplitudes, so the conjugate's sign shows
+
+
 def test_amplitude_preclusions_match_the_per_event_walk():
     kinds = dict.fromkeys(['several blocks', 'single-history block', 'zero amplitude',
                            'all-zero block', 'mixed denominators', 'complex',
@@ -727,3 +776,87 @@ def test_amplitude_preclusions_match_the_per_event_walk():
         sizes.add(d.space.size)
     assert sizes == set(AMPLITUDE_COUNTS)
     assert min(kinds.values()) >= 20, kinds
+
+
+# -- single blocks past the history guard -----------------------------------------
+#
+# `preclusions()` joins the subset sums of each block's two halves.  The block
+# walk it replaced, kept below as it was, lists every subset sum in turn; the
+# two must give the same nulls on a pinned corpus of single blocks at
+# n = 15..20.  BLOCK_DIGEST pins the amplitudes.
+
+BLOCK_DIGEST = '5d490c7d03bf5e162c2ebe47db650cda46c5376b9055161ae40164967de8a66c'
+BLOCK_COUNTS = {15: 3, 16: 3, 17: 2, 18: 2, 19: 1, 20: 1}
+
+
+def _zero_sum_subsets(indices, amps):
+    """Space-wide masks of one block's subsets, the empty one included,
+    whose amplitudes sum to zero.  Scaling by the lcm of the denominators
+    keeps the zeros and leaves pairs of ints; subset s sums to s without
+    its lowest member, plus that member's amplitude."""
+    scale = math.lcm(*(x.denominator for a in amps for x in (a.re, a.im)))
+    re = [a.re.numerator * (scale // a.re.denominator) for a in amps]
+    im = [a.im.numerator * (scale // a.im.denominator) for a in amps]
+    size = 1 << len(indices)
+    sum_re, sum_im = [0] * size, [0] * size
+    zeros = [0]
+    for s in range(1, size):
+        low = s & -s
+        k = low.bit_length() - 1
+        sum_re[s] = r = sum_re[s ^ low] + re[k]
+        sum_im[s] = i = sum_im[s ^ low] + im[k]
+        if not r and not i:
+            zeros.append(sum(1 << indices[j] for j in bit_indices(s)))
+    return zeros
+
+
+def _block_case(rng, n):
+    """n amplitudes with denominators 1..4 and wide numerators, so that
+    chance cancellations are rare, then up to three zeros, one to three
+    planted pairs (b = -a) and one or two planted triples (c = -a - b)."""
+    amps = [(Fraction(rng.randint(-40, 40), rng.randint(1, 4)),
+             Fraction(rng.randint(-40, 40), rng.randint(1, 4)) if rng.random() < 0.5
+             else Fraction(0)) for _ in range(n)]
+    order = rng.sample(range(n), n)
+    zeros, pairs, triples = rng.randint(0, 3), rng.randint(1, 3), rng.randint(1, 2)
+    for i in order[:zeros]:
+        amps[i] = ZERO
+    rest = order[zeros:]
+    for p in range(pairs):
+        i, j = rest[2 * p:2 * p + 2]
+        amps[j] = (-amps[i][0], -amps[i][1])
+    rest = rest[2 * pairs:]
+    for t in range(triples):
+        i, j, k = rest[3 * t:3 * t + 3]
+        amps[k] = (-amps[i][0] - amps[j][0], -amps[i][1] - amps[j][1])
+    return amps
+
+
+def block_corpus():
+    rng = random.Random(20070703)
+    for n, count in BLOCK_COUNTS.items():
+        for _ in range(count):
+            yield _block_case(rng, n)
+
+
+def test_block_corpus_is_pinned():
+    digest = hashlib.sha256()
+    for amps in block_corpus():
+        digest.update((' '.join(render_complex(gr(*a)) for a in amps) + '\n').encode())
+    assert digest.hexdigest() == BLOCK_DIGEST
+
+
+def test_meet_in_the_middle_matches_the_block_walk():
+    sizes, nulls = [], []
+    for amps in block_corpus():
+        n = len(amps)
+        d = DecoherenceMatrix.from_amplitudes(SampleSpace(f'h{i}' for i in range(n)),
+                                              [gr(*a) for a in amps])
+        expected = _zero_sum_subsets(range(n), [gr(*a) for a in amps])
+        assert len(expected) == len(set(expected))
+        assert d.preclusions().masks == set(expected), amps
+        assert d._entries is None  # nothing read the n x n entries
+        sizes.append(n)
+        nulls.append(len(expected))
+    assert sorted(set(sizes)) == list(BLOCK_COUNTS)
+    assert min(nulls) >= 8, nulls  # every case has real cancellations
