@@ -13,6 +13,8 @@ no floats anywhere.
 ['a*b*']
 """
 
+from types import ModuleType as _ModuleType
+
 from .coevent import (TRUTH_TABLE_GUARD, Coevent, classical, monomial,
                       parse_coevent, render_coevent)
 from .events import (SPACE_GUARD, Event, GuardError, ParseError, SampleSpace,
@@ -28,43 +30,8 @@ from .schemes import (ALWAYS_FALSE, ALWAYS_TRUE, CONTINGENT, VACUOUS,
 
 __version__ = '0.1.0'
 
-__all__ = [
-    'ALWAYS_FALSE',
-    'ALWAYS_TRUE',
-    'CONTINGENT',
-    'Coevent',
-    'DecoherenceMatrix',
-    'Event',
-    'GaussianRational',
-    'GuardError',
-    'ParseDiagnostic',
-    'ParseError',
-    'PreclusionSet',
-    'SPACE_GUARD',
-    'SampleSpace',
-    'Scenario',
-    'ScenarioError',
-    'SchemeResult',
-    'SpaceMismatchError',
-    'TRUTH_TABLE_GUARD',
-    'VACUOUS',
-    '__version__',
-    'bundled_names',
-    'classical',
-    'ideal_generator',
-    'ideal_scheme',
-    'infer',
-    'linear_scheme',
-    'load_bundled',
-    'monomial',
-    'multiplicative_scheme',
-    'parse_coevent',
-    'parse_complex',
-    'parse_event',
-    'parse_scenario',
-    'render_coevent',
-    'render_complex',
-    'render_event',
-    'render_result',
-    'render_scenario',
-]
+# every name imported above, and the version; not the submodules, which
+# importing them binds here as well
+__all__ = sorted(['__version__'] + [
+    name for name, value in globals().items()
+    if not name.startswith('_') and not isinstance(value, _ModuleType)])

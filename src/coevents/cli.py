@@ -28,7 +28,6 @@ from pathlib import Path
 from . import oracle
 from .coevent import parse_coevent
 from .events import parse_event, render_event
-from .measure import PreclusionSet
 from .schemes import ideal_scheme, infer, linear_scheme, multiplicative_scheme
 from .scenario import (ScenarioError, bundled_names, load_bundled,
                        parse_scenario, render_result)
@@ -119,40 +118,36 @@ def _scenario_text(argument: str) -> str:
                   f'(bundled: {known})')
 
 
-def _solve(preclusions: PreclusionSet, scheme: str, minimal_among_unital: bool):
-    if scheme == 'multiplicative':
+def _solve(scenario, args):
+    preclusions = scenario.preclusion_set()
+    if args.scheme == 'multiplicative':
         return multiplicative_scheme(preclusions)
-    if scheme == 'linear':
+    if args.scheme == 'linear':
         return linear_scheme(preclusions,
-                             minimal_among_unital=minimal_among_unital)
+                             minimal_among_unital=args.minimal_among_unital)
     return ideal_scheme(preclusions)
 
 
-def _cmd_solve(args) -> int:
-    scenario = parse_scenario(_scenario_text(args.scenario))
-    result = _solve(scenario.preclusion_set(), args.scheme,
-                    args.minimal_among_unital)
+def _cmd_solve(scenario, args) -> int:
+    result = _solve(scenario, args)
     sys.stdout.write(render_result(result, args.format))
     return 0 if result.coevents else 1
 
 
-def _cmd_preclusions(args) -> int:
-    scenario = parse_scenario(_scenario_text(args.scenario))
+def _cmd_preclusions(scenario, args) -> int:
     for event in scenario.preclusion_set().events:
         print(render_event(event))
     return 0
 
 
-def _cmd_eval(args) -> int:
-    scenario = parse_scenario(_scenario_text(args.scenario))
+def _cmd_eval(scenario, args) -> int:
     phi = parse_coevent(args.coevent, scenario.space)
     event = parse_event(args.event, scenario.space)
     print(phi(event))
     return 0
 
 
-def _cmd_infer(args) -> int:
-    scenario = parse_scenario(_scenario_text(args.scenario))
+def _cmd_infer(scenario, args) -> int:
     space = scenario.space
     given = []
     for item in args.given:
@@ -161,9 +156,7 @@ def _cmd_infer(args) -> int:
             raise ValueError(f"--given needs the form EVENT=0 or EVENT=1, got {item!r}")
         given.append((parse_event(text, space), int(bit)))
     query = parse_event(args.query, space)
-    result = _solve(scenario.preclusion_set(), args.scheme,
-                    args.minimal_among_unital)
-    print(infer(result, given, query))
+    print(infer(_solve(scenario, args), given, query))
     return 0
 
 
@@ -211,23 +204,16 @@ def _check_oracle(scenario, lines: list[str]) -> bool:
     n = space.size
     ok = True
 
-    if n > oracle.ENUMERATION_GUARD:
-        lines.append(f'oracle multiplicative: skipped (n={n} exceeds guard '
-                     f'{oracle.ENUMERATION_GUARD})')
-        lines.append(f'oracle linear: skipped (n={n} exceeds guard '
-                     f'{oracle.ENUMERATION_GUARD})')
-    else:
-        got = set(multiplicative_scheme(preclusions).coevents)
-        if got == set(oracle.brute_multiplicative(preclusions)):
-            lines.append('oracle multiplicative: PASS')
+    for name, solve, brute in (
+            ('multiplicative', multiplicative_scheme, oracle.brute_multiplicative),
+            ('linear', linear_scheme, oracle.brute_linear)):
+        if n > oracle.ENUMERATION_GUARD:
+            lines.append(f'oracle {name}: skipped (n={n} exceeds guard '
+                         f'{oracle.ENUMERATION_GUARD})')
+        elif set(solve(preclusions).coevents) == set(brute(preclusions)):
+            lines.append(f'oracle {name}: PASS')
         else:
-            lines.append('oracle multiplicative: FAIL')
-            ok = False
-        got = set(linear_scheme(preclusions).coevents)
-        if got == set(oracle.brute_linear(preclusions)):
-            lines.append('oracle linear: PASS')
-        else:
-            lines.append('oracle linear: FAIL')
+            lines.append(f'oracle {name}: FAIL')
             ok = False
 
     if n > oracle.CLOSURE_GUARD:
@@ -247,8 +233,7 @@ def _check_oracle(scenario, lines: list[str]) -> bool:
     return ok
 
 
-def _cmd_check(args) -> int:
-    scenario = parse_scenario(_scenario_text(args.scenario))
+def _cmd_check(scenario, args) -> int:
     chosen = args.strong_positivity or args.classical or args.oracle
     lines: list[str] = []
     ok = True
@@ -277,7 +262,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return _DISPATCH[args.command](args)
+        scenario = parse_scenario(_scenario_text(args.scenario))
+        return _DISPATCH[args.command](scenario, args)
     except ScenarioError as exc:
         for diagnostic in exc.diagnostics:
             print(diagnostic, file=sys.stderr)

@@ -303,6 +303,6 @@ def _sum_terms(text: str, kind: str) -> Iterator[tuple[str, int]]:
 def _label_bit(space: SampleSpace, label: str, position: int) -> int:
     """The bitmask of history `label`; an unknown label is a :class:`ParseError`."""
     try:
-        return 1 << space.index(label)
-    except ValueError:
+        return 1 << space._index[label]
+    except KeyError:
         raise ParseError(f'unknown history label {label!r}', position) from None

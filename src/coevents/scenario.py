@@ -1,7 +1,7 @@
 """Scenario files, result rendering, and the bundled examples.
 
-A scenario file is line oriented; ``#`` starts a comment and directives
-may appear in any order::
+A scenario file is line oriented (only ``\\n``, ``\\r\\n`` and ``\\r`` end a
+line); ``#`` starts a comment and directives may appear in any order::
 
     title <free text>              optional, at most once
     histories <label>+             required, exactly once
@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import functools
 import json
-import re
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable
 
 from .coevent import Coevent
-from .events import (_RESERVED_CHARS, Event, GuardError, ParseError, SampleSpace,
-                     canonical_key, parse_event, render_event)
+from .events import (_RESERVED_CHARS, _TOKEN, Event, ParseError, SampleSpace,
+                     _label_bit, canonical_key, parse_event, render_event)
 from .measure import (DecoherenceMatrix, GaussianRational, PreclusionSet,
                       first_non_hermitian, parse_complex, render_complex)
 from .schemes import SchemeResult
@@ -50,8 +49,23 @@ __all__ = [
     'render_scenario',
 ]
 
-_MODES = ('amplitudes', 'dmatrix', 'explicit')
-_TOKEN = re.compile(r'\S+')
+# each directive: how many arguments it takes (None: one or more), and the
+# diagnostic for a line with another number
+_DIRECTIVES = {
+    'title': (None, "'title' needs text"),
+    'histories': (None, "'histories' needs at least one label"),
+    'amplitude': (2, "'amplitude' needs a label and a complex value"),
+    'block': (None, "'block' needs at least one label"),
+    'dmatrix': (None, "'dmatrix' needs a row of entries"),
+    'precluded': (None, "'precluded' needs an event"),
+}
+
+# each measure mode and the directives that select it, in reporting order
+_MODES = {
+    'amplitudes': ('amplitude', 'block'),
+    'dmatrix': ('dmatrix',),
+    'explicit': ('precluded',),
+}
 
 
 @dataclass(frozen=True)
@@ -108,233 +122,192 @@ class Scenario:
 
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text; raises :class:`ScenarioError` with all problems."""
-    diags: list[ParseDiagnostic] = []
-
-    entries: list[tuple[int, str, list[tuple[str, int]]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split('#', 1)[0]
-        tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
-        if tokens:
-            entries.append((lineno, line, tokens))
-
-    # histories first: everything else resolves labels against the space
-    space = None
-    histories_seen = False
-    for lineno, _, tokens in entries:
-        if tokens[0][0] != 'histories':
-            continue
-        if histories_seen:
-            diags.append(ParseDiagnostic(lineno, tokens[0][1],
-                                         "duplicate 'histories' directive"))
-            continue
-        histories_seen = True
-        labels = tokens[1:]
-        if not labels:
-            diags.append(ParseDiagnostic(lineno, tokens[0][1],
-                                         "'histories' needs at least one label"))
-            continue
-        ok = True
-        seen: set[str] = set()
-        for label, col in labels:
-            if not _RESERVED_CHARS.isdisjoint(label):  # '#' was cut with the comment
-                diags.append(ParseDiagnostic(
-                    lineno, col, f'history label {label!r} contains a reserved character'))
-                ok = False
-            elif label in seen:
-                diags.append(ParseDiagnostic(
-                    lineno, col, f'duplicate history label {label!r}'))
-                ok = False
-            seen.add(label)
-        if ok:
-            try:
-                space = SampleSpace(label for label, _ in labels)
-            except (ValueError, GuardError) as exc:
-                diags.append(ParseDiagnostic(lineno, tokens[0][1], str(exc)))
-    if not histories_seen:
-        diags.append(ParseDiagnostic(1, 1, "missing 'histories' directive"))
-
+    diags: list[ParseDiagnostic] = []  # the histories lines' problems,
+    later: list[ParseDiagnostic] = []  # then the other lines', in line order
+    space: SampleSpace | None = None
     title: str | None = None
-    amp_lines: list[tuple[int, list[tuple[str, int]]]] = []
-    block_lines: list[tuple[int, list[tuple[str, int]]]] = []
-    dmatrix_lines: list[tuple[int, list[tuple[str, int]]]] = []
-    precluded_lines: list[tuple[int, int, str]] = []
-
-    for lineno, line, tokens in entries:
-        word, col = tokens[0]
-        rest = tokens[1:]
-        if word == 'histories':
+    has_histories = False
+    found: dict[str, list] = {word: [] for words in _MODES.values() for word in words}
+    # only \n, \r\n and \r end a line, as in universal-newline reading;
+    # str.splitlines would also split at form feeds, U+2028 and the like
+    lines = text.replace('\r\n', '\n').replace('\r', '\n').split('\n')
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split('#', 1)[0]
+        tokens = line.split()  # _TOKEN's tokens (both split at str.isspace), minus columns
+        if not tokens:
             continue
-        if word == 'title':
-            value = line[col - 1 + len('title'):].strip()
-            if title is not None:
-                diags.append(ParseDiagnostic(lineno, col, "duplicate 'title' directive"))
-            elif not value:
-                diags.append(ParseDiagnostic(lineno, col, "'title' needs text"))
-            else:
-                title = value
-        elif word == 'amplitude':
-            if len(rest) != 2:
-                diags.append(ParseDiagnostic(
-                    lineno, col, "'amplitude' needs a label and a complex value"))
-            else:
-                amp_lines.append((lineno, rest))
-        elif word == 'block':
-            if not rest:
-                diags.append(ParseDiagnostic(lineno, col,
-                                             "'block' needs at least one label"))
-            else:
-                block_lines.append((lineno, rest))
-        elif word == 'dmatrix':
-            if not rest:
-                diags.append(ParseDiagnostic(lineno, col,
-                                             "'dmatrix' needs a row of entries"))
-            else:
-                dmatrix_lines.append((lineno, rest))
-        elif word == 'precluded':
-            start = col - 1 + len('precluded')
-            event_text = line[start:]
-            if not event_text.strip():
-                diags.append(ParseDiagnostic(lineno, col, "'precluded' needs an event"))
-            else:
-                precluded_lines.append((lineno, start + 1, event_text))
+        word = tokens[0]
+        count, needs = _DIRECTIVES.get(word, (None, None))
+        if word == 'histories' and has_histories:
+            _report(diags, lineno, _columns(line)[0], "duplicate 'histories' directive")
+        elif word == 'histories':
+            has_histories = True
+            space = _parse_histories(lineno, line, tokens, diags)
+        elif needs is None:
+            _report(later, lineno, _columns(line)[0], f'unknown directive {word!r}')
+        elif word == 'title' and title is not None:
+            _report(later, lineno, _columns(line)[0], "duplicate 'title' directive")
+        elif len(tokens) == 1 or count and len(tokens) - 1 != count:
+            _report(later, lineno, _columns(line)[0], needs)
+        elif word == 'title':
+            title = line.lstrip()[len('title'):].strip()
         else:
-            diags.append(ParseDiagnostic(lineno, col, f'unknown directive {word!r}'))
+            found[word].append((lineno, line, tokens))
+    if not has_histories:
+        _report(diags, 1, 1, "missing 'histories' directive")
+    diags += later
 
-    mode_markers = {
-        'amplitudes': bool(amp_lines) or bool(block_lines),
-        'dmatrix': bool(dmatrix_lines),
-        'explicit': bool(precluded_lines),
-    }
-    present = [m for m in _MODES if mode_markers[m]]
-    mode = present[0] if len(present) == 1 else None
+    mode = None
+    present = [m for m, words in _MODES.items() if any(map(found.get, words))]
     if not present:
-        diags.append(ParseDiagnostic(
-            1, 1, 'scenario fixes no measure: need amplitude lines, dmatrix rows, '
-                  'or precluded events'))
+        _report(diags, 1, 1, 'scenario fixes no measure: need amplitude lines, '
+                             'dmatrix rows, or precluded events')
     elif len(present) > 1:
-        diags.append(ParseDiagnostic(
-            1, 1, 'conflicting measure modes: ' + ' and '.join(present)))
-    if mode == 'amplitudes' and not amp_lines:
-        diags.append(ParseDiagnostic(block_lines[0][0], 1,
-                                     "'block' lines without 'amplitude' lines"))
-        mode = None
+        _report(diags, 1, 1, 'conflicting measure modes: ' + ' and '.join(present))
+    elif present == ['amplitudes'] and not found['amplitude']:
+        _report(diags, found['block'][0][0], 1, "'block' lines without 'amplitude' lines")
+    else:
+        mode = present[0]
 
-    amplitudes = blocks = dmatrix = precluded = None
+    # each resolver reports every problem it finds; with any, its result is dropped
+    fields = {}
     if space is not None and mode == 'amplitudes':
-        amplitudes, blocks = _resolve_amplitudes(space, amp_lines, block_lines, diags)
+        fields = _resolve_amplitudes(space, found['amplitude'], found['block'], diags)
     elif space is not None and mode == 'dmatrix':
-        dmatrix = _resolve_dmatrix(space, dmatrix_lines, diags)
+        fields = {'dmatrix': _resolve_dmatrix(space, found['dmatrix'], diags)}
     elif space is not None and mode == 'explicit':
-        events = []
-        for lineno, column, event_text in precluded_lines:
+        events = set()
+        for lineno, line, _ in found['precluded']:
+            event_text = line.lstrip()[len('precluded'):]
+            start = len(line) - len(event_text) + 1  # its column
             try:
-                events.append(parse_event(event_text, space))
+                events.add(parse_event(event_text, space))
             except ParseError as exc:
-                diags.append(ParseDiagnostic(lineno, column + exc.position, exc.message))
-        precluded = tuple(sorted(set(events), key=lambda ev: canonical_key(ev.bits)))
+                _report(diags, lineno, start, exc)
+        fields = {'precluded': tuple(sorted(events, key=lambda ev: canonical_key(ev.bits)))}
 
     if diags:
         raise ScenarioError(diags)
-    return Scenario(space=space, mode=mode, title=title, amplitudes=amplitudes,
-                    blocks=blocks, dmatrix=dmatrix, precluded=precluded)
+    return Scenario(space=space, mode=mode, title=title, **fields)
+
+
+def _report(diags: list, lineno: int, column: int, problem: str | ParseError) -> None:
+    """Add a diagnostic: `problem` is a message, or a ParseError raised on
+    text that starts at 1-based `column`, placed by its own position."""
+    if isinstance(problem, ParseError):
+        column, problem = column + problem.position, problem.message
+    diags.append(ParseDiagnostic(lineno, column, problem))
+
+
+@functools.lru_cache(maxsize=1)  # one line's problems are reported in turn
+def _columns(line: str) -> tuple[int, ...]:
+    """The 1-based column of each token of `line`; wanted only for diagnostics."""
+    return tuple(m.start() + 1 for m in _TOKEN.finditer(line))
+
+
+def _outside(space: SampleSpace, mask: int) -> str:
+    """The labels of the histories not in `mask`, quoted and comma separated."""
+    return ', '.join(repr(label) for i, label in enumerate(space.names)
+                     if not mask >> i & 1)
+
+
+def _parse_histories(lineno, line, tokens, diags) -> SampleSpace | None:
+    labels = tokens[1:]
+    if not labels:
+        _report(diags, lineno, _columns(line)[0], _DIRECTIVES['histories'][1])
+        return None
+    reported = len(diags)
+    seen: set[str] = set()
+    for k, label in enumerate(labels, 1):
+        if not _RESERVED_CHARS.isdisjoint(label):  # '#' was cut with the comment
+            _report(diags, lineno, _columns(line)[k],
+                    f'history label {label!r} contains a reserved character')
+        elif label in seen:
+            _report(diags, lineno, _columns(line)[k], f'duplicate history label {label!r}')
+        seen.add(label)
+    if len(diags) > reported:
+        return None
+    try:
+        return SampleSpace(labels)
+    except ValueError as exc:  # the size guard
+        _report(diags, lineno, _columns(line)[0], str(exc))
+        return None
 
 
 def _resolve_amplitudes(space, amp_lines, block_lines, diags):
-    n = space.size
-    values: dict[int, GaussianRational] = {}
-    given: set[int] = set()  # histories with an amplitude line, parsed or not
-    for lineno, ((label, lcol), (number, ncol)) in amp_lines:
+    full = (1 << space.size) - 1
+    values: dict[int, GaussianRational] = {}  # by history bit
+    given = 0  # histories with an amplitude line, parsed or not
+    for lineno, line, (_, label, number) in amp_lines:
         try:
-            index = space.index(label)
-        except ValueError:
-            diags.append(ParseDiagnostic(lineno, lcol, f'unknown history label {label!r}'))
-            continue
-        given.add(index)
-        if index in values:
-            diags.append(ParseDiagnostic(lineno, lcol, f'duplicate amplitude for {label!r}'))
-            continue
-        try:
-            values[index] = parse_complex(number)
+            bit = _label_bit(space, label, 0)
         except ParseError as exc:
-            diags.append(ParseDiagnostic(lineno, ncol + exc.position, exc.message))
-    missing = [space.names[i] for i in range(n) if i not in given]
-    if missing and amp_lines:
-        diags.append(ParseDiagnostic(
-            amp_lines[0][0], 1,
-            'missing amplitude for ' + ', '.join(repr(m) for m in missing)))
+            _report(diags, lineno, _columns(line)[1], exc)
+            continue
+        given |= bit
+        if bit in values:
+            _report(diags, lineno, _columns(line)[1], f'duplicate amplitude for {label!r}')
+            continue
+        try:
+            values[bit] = parse_complex(number)
+        except ParseError as exc:
+            _report(diags, lineno, _columns(line)[2], exc)
+    if given != full:
+        _report(diags, amp_lines[0][0], 1, 'missing amplitude for ' + _outside(space, given))
 
     covered = 0
-    block_events: list[Event] = []
-    for lineno, tokens in block_lines:
+    blocks = [] if block_lines else [full]
+    for lineno, line, tokens in block_lines:
         bits = 0
-        for label, col in tokens:
+        for k in range(1, len(tokens)):
             try:
-                bit = 1 << space.index(label)
-            except ValueError:
-                diags.append(ParseDiagnostic(lineno, col, f'unknown history label {label!r}'))
+                bit = _label_bit(space, tokens[k], 0)
+            except ParseError as exc:
+                _report(diags, lineno, _columns(line)[k], exc)
                 continue
-            if bits & bit or covered & bit:
-                diags.append(ParseDiagnostic(lineno, col,
-                                             f'history {label!r} already placed in a block'))
+            if (bits | covered) & bit:
+                _report(diags, lineno, _columns(line)[k],
+                        f'history {tokens[k]!r} already placed in a block')
                 continue
             bits |= bit
         covered |= bits
-        if bits:
-            block_events.append(Event(space, bits))
-    if block_lines and covered != (1 << n) - 1:
-        loose = [space.names[i] for i in range(n) if not covered >> i & 1]
-        diags.append(ParseDiagnostic(
-            block_lines[0][0], 1,
-            'blocks do not cover ' + ', '.join(repr(m) for m in loose)))
-    if not block_lines:
-        block_events = [space.full]
-
-    if missing or len(values) != n:
-        return None, None
-    amplitudes = tuple(values[i] for i in range(n))
-    blocks = tuple(sorted(block_events, key=lambda ev: canonical_key(ev.bits)))
-    return amplitudes, blocks
+        blocks.append(bits)
+    if block_lines and covered != full:
+        _report(diags, block_lines[0][0], 1, 'blocks do not cover ' + _outside(space, covered))
+    return {'amplitudes': tuple(values.get(1 << i) for i in range(space.size)),
+            'blocks': tuple(Event(space, bits) for bits in sorted(blocks, key=canonical_key))}
 
 
 def _resolve_dmatrix(space, dmatrix_lines, diags):
     n = space.size
     if len(dmatrix_lines) != n:
-        diags.append(ParseDiagnostic(
-            dmatrix_lines[0][0], 1,
-            f'dmatrix needs {n} rows, got {len(dmatrix_lines)}'))
+        _report(diags, dmatrix_lines[0][0], 1,
+                f'dmatrix needs {n} rows, got {len(dmatrix_lines)}')
         return None
     rows: list[list[GaussianRational]] = []
-    positions: list[list[tuple[int, int]]] = []
-    ok = True
-    for lineno, tokens in dmatrix_lines:
-        if len(tokens) != n:
-            diags.append(ParseDiagnostic(lineno, tokens[0][1],
-                                         f'dmatrix row needs {n} entries, got {len(tokens)}'))
-            ok = False
+    for lineno, line, tokens in dmatrix_lines:
+        if len(tokens) != n + 1:
+            _report(diags, lineno, _columns(line)[1],
+                    f'dmatrix row needs {n} entries, got {len(tokens) - 1}')
             continue
         row = []
-        pos = []
-        for number, col in tokens:
+        for k in range(1, n + 1):
             try:
-                row.append(parse_complex(number))
+                row.append(parse_complex(tokens[k]))
             except ParseError as exc:
-                diags.append(ParseDiagnostic(lineno, col + exc.position, exc.message))
-                ok = False
-                continue
-            pos.append((lineno, col))
+                _report(diags, lineno, _columns(line)[k], exc)
         if len(row) == n:
             rows.append(row)
-            positions.append(pos)
-    if not ok or len(rows) != n:
+    if len(rows) != n:
         return None
-    bad = first_non_hermitian(rows)
-    if bad is not None:
-        i, j = bad
-        lineno, col = positions[j][i]
-        diags.append(ParseDiagnostic(
-            lineno, col, f'matrix is not Hermitian at row {j + 1}, column {i + 1}'))
+    try:
+        return DecoherenceMatrix(space, rows)
+    except ValueError:  # not Hermitian; the constructor checked, so find where
+        i, j = first_non_hermitian(rows)
+        lineno, line, _ = dmatrix_lines[j]
+        _report(diags, lineno, _columns(line)[i + 1],
+                f'matrix is not Hermitian at row {j + 1}, column {i + 1}')
         return None
-    return DecoherenceMatrix(space, rows)
 
 
 def render_scenario(scenario: Scenario) -> str:

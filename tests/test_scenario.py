@@ -1,9 +1,12 @@
 """Scenario parsing with positioned diagnostics, rendering, bundled files."""
 
+import hashlib
 import json
+import random
 
 import pytest
 
+import coevents
 from coevents import (GaussianRational, ParseDiagnostic, ScenarioError,
                       bundled_names, ideal_scheme, linear_scheme, load_bundled,
                       multiplicative_scheme, parse_scenario, render_complex,
@@ -223,6 +226,22 @@ class TestDiagnostics:
         diags = diagnostics_of('title\nhistories a\nprecluded {a}\n')
         assert any("'title' needs text" in d.message for d in diags)
 
+    @pytest.mark.parametrize('separator', ['\f', '\v', '\x1c', '\x85', '\u2028', '\u2029'])
+    def test_only_newlines_end_lines(self, separator):
+        # str.splitlines would end line 1 at the separator and report 'b'
+        # as a directive on line 2, and the bad label on line 4
+        text = f'title a{separator}b\nhistories a b\nprecluded {{a c}}\n'
+        assert [str(d) for d in diagnostics_of(text)] == [
+            "3:14: error: unknown history label 'c'"]
+        scenario = parse_scenario(text.replace(' c}', '}'))
+        assert scenario.title == f'a{separator}b'
+        assert parse_scenario(render_scenario(scenario)) == scenario
+
+    @pytest.mark.parametrize('newline', ['\n', '\r\n', '\r'])
+    def test_each_universal_newline_ends_a_line(self, newline):
+        text = newline.join(['histories a b', '', 'precluded {a q}', ''])
+        assert positions(text) == [(3, 14)]
+
     def test_all_problems_reported_at_once(self):
         text = ('histories a b\n'
                 'amplitude a 1/0\n'
@@ -232,6 +251,98 @@ class TestDiagnostics:
         assert len(diags) >= 3
         lines = {d.line for d in diags}
         assert {2, 3, 4} <= lines
+
+
+class TestMutationCorpus:
+    """Every outcome of parsing a seeded corpus of mutated scenarios, pinned.
+
+    Each text is a bundled or small scenario with one to three lines or
+    tokens deleted, inserted, replaced or duplicated.  The digest covers
+    each outcome in turn: the diagnostics, in order, or the canonical
+    render of what parsed.  It was recorded from the parser as it stood
+    before diagnostics were routed through one path, so any change to a
+    message, a position, their order or a parse result moves it.
+    """
+
+    SEEDS = (
+        'histories a b c\namplitude a 1\namplitude b 1/2-1/2i\namplitude c -1\n'
+        'block a b\nblock c\n',
+        'title t\nhistories p q\namplitude p 2i\namplitude q 1\n',
+        'histories x y\ndmatrix 1 1/2+1/2i\ndmatrix 1/2-1/2i 1\n',
+        'histories a b c\ndmatrix 1 -1 0\ndmatrix -1 1 0\ndmatrix 0 0 1\n',
+        'histories a b c\nprecluded {a}\nprecluded b+c\nprecluded {}\n',
+    )
+    # '\n' is the only line break the mutations make
+    TOKENS = ('title', 'histories', 'amplitude', 'block', 'dmatrix', 'precluded',
+              'frobnicate', '#', '', 'a', 'b', 'c', 'p', 'q', 'x', 'y', 'g1', 'b*c',
+              '0', '1', '-1', '1/2', '1/0', '2i', '1.5', '3/2-1/2i', '1/2+1/2i',
+              '{a}', '{a q}', '{}', 'a+b', 'a+', '{a', '}')
+    DIGEST = '1d863e9d9ba3e3d65e5b29dee99d7095f8f6a01148dad0489a4d9d5560825acb'
+
+    @staticmethod
+    def mutate(rng, text):
+        lines = text.split('\n')
+        for _ in range(rng.randint(1, 3)):
+            op = rng.choice(('delete', 'insert', 'replace', 'duplicate'))
+            k = rng.randrange(len(lines))
+            if rng.random() < 0.5:  # a whole line
+                new = ' '.join(rng.choice(TestMutationCorpus.TOKENS)
+                               for _ in range(rng.randint(0, 4)))
+                if op == 'delete' and len(lines) > 1:
+                    del lines[k]
+                elif op == 'insert':
+                    lines.insert(k, new)
+                elif op == 'replace':
+                    lines[k] = new
+                else:
+                    lines.insert(rng.randrange(len(lines) + 1), lines[k])
+                continue
+            tokens = lines[k].split(' ')
+            j = rng.randrange(len(tokens))
+            token = rng.choice(TestMutationCorpus.TOKENS)
+            if op == 'delete':
+                del tokens[j]
+            elif op == 'insert':
+                tokens.insert(j, token)
+            elif op == 'replace':
+                tokens[j] = token
+            else:
+                tokens.insert(j, tokens[j])
+            lines[k] = ' '.join(tokens)
+        return '\n'.join(lines)
+
+    def test_outcomes_pinned(self):
+        rng = random.Random(20071)
+        bases = [load_bundled(name) for name in bundled_names()] + list(self.SEEDS)
+        digest = hashlib.sha256()
+        parsed = 0
+        for k in range(5000):
+            text = self.mutate(rng, bases[k % len(bases)])
+            try:
+                outcome = 'ok\n' + render_scenario(parse_scenario(text))
+                parsed += 1
+            except ScenarioError as exc:
+                outcome = 'error\n' + str(exc)
+            digest.update(outcome.encode() + b'\0')
+        assert 500 < parsed < 4500  # the corpus exercises both outcomes
+        assert digest.hexdigest() == self.DIGEST
+
+
+def test_public_names_pinned():
+    expected = [
+        'ALWAYS_FALSE', 'ALWAYS_TRUE', 'CONTINGENT', 'Coevent', 'DecoherenceMatrix',
+        'Event', 'GaussianRational', 'GuardError', 'ParseDiagnostic', 'ParseError',
+        'PreclusionSet', 'SPACE_GUARD', 'SampleSpace', 'Scenario', 'ScenarioError',
+        'SchemeResult', 'SpaceMismatchError', 'TRUTH_TABLE_GUARD', 'VACUOUS',
+        '__version__', 'bundled_names', 'classical', 'ideal_generator',
+        'ideal_scheme', 'infer', 'linear_scheme', 'load_bundled', 'monomial',
+        'multiplicative_scheme', 'parse_coevent', 'parse_complex', 'parse_event',
+        'parse_scenario', 'render_coevent', 'render_complex', 'render_event',
+        'render_result', 'render_scenario']
+    assert coevents.__all__ == expected
+    namespace = {}
+    exec('from coevents import *', namespace)
+    assert sorted(set(namespace) - {'__builtins__'}) == expected
 
 
 class TestRenderResult:
