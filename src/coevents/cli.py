@@ -79,9 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument('--scheme', required=True,
                    choices=('multiplicative', 'linear', 'ideal'))
     p.add_argument('--format', choices=('text', 'json'), default='text')
-    p.add_argument('--minimal-among-unital', action='store_true',
-                   help='linear scheme: minimize support among unital '
-                        'solutions instead of filtering minimal ones')
 
     command('preclusions', 'print the precluded events, one per line')
 
@@ -95,7 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument('--given', action='append', default=[], metavar='EVENT=BIT',
                    help='condition on an event taking value 0 or 1; repeatable')
     p.add_argument('--query', required=True, metavar='EVENT')
-    p.add_argument('--minimal-among-unital', action='store_true')
 
     p = command('check', 'verify measure and solver health properties')
     p.add_argument('--strong-positivity', action='store_true',
@@ -119,13 +115,10 @@ def _scenario_text(argument: str) -> str:
 
 
 def _solve(scenario, args):
-    preclusions = scenario.preclusion_set()
-    if args.scheme == 'multiplicative':
-        return multiplicative_scheme(preclusions)
-    if args.scheme == 'linear':
-        return linear_scheme(preclusions,
-                             minimal_among_unital=args.minimal_among_unital)
-    return ideal_scheme(preclusions)
+    # looked up per call, so a solver rebound on this module is the one used
+    solver = {'multiplicative': multiplicative_scheme, 'linear': linear_scheme,
+              'ideal': ideal_scheme}[args.scheme]
+    return solver(scenario.preclusion_set())
 
 
 def _cmd_solve(scenario, args) -> int:

@@ -62,9 +62,11 @@ class GaussianRational:
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
 
-    def __post_init__(self):
-        object.__setattr__(self, 're', Fraction(self.re))
-        object.__setattr__(self, 'im', Fraction(self.im))
+    def __post_init__(self):  # parsed parts already are Fractions
+        if type(self.re) is not Fraction:
+            object.__setattr__(self, 're', Fraction(self.re))
+        if type(self.im) is not Fraction:
+            object.__setattr__(self, 'im', Fraction(self.im))
 
     def conjugate(self) -> 'GaussianRational':
         return GaussianRational(self.re, -self.im)

@@ -15,17 +15,17 @@ multiplicative
     whose addition would leave some member without such a critical edge is
     never added, so every leaf is a minimal transversal and each is reached
     once.  If the whole space is precluded the empty edge admits nothing
-    and the result is reported empty rather than raising.
+    and the result is reported empty rather than raising.  No bound on the
+    number of answers is known before the search, so it counts them and
+    raises :class:`GuardError` past 2^``MEASURE_GUARD`` = 16,384.
 
 linear
     Sums of classical coevents.  Preclusivity means every precluded event
     shares an even number of members with the support, a GF(2) linear
     system.  The nonzero solutions of inclusion-minimal support are
-    computed first and the unital ones (odd support) are kept, matching
-    the convention that minimality is judged before unitality; pass
-    ``minimal_among_unital=True`` for the nonstandard alternative that
-    restricts the minimality comparison to unital solutions (both give the
-    same coevents, since the solutions form a subspace).  Histories whose
+    computed first and the unital ones (odd support) are kept; judging
+    minimality among the unital solutions alone would admit the same
+    coevents, since the solutions form a subspace.  Histories whose
     columns in the row-reduced system are equal are interchangeable, so a
     minimal support is a single history of zero column, two histories of
     one column class, or a minimal solution of the reduced system (one
@@ -70,7 +70,7 @@ from typing import Iterable, Mapping
 
 from .coevent import Coevent, _anf, _lacking, monomial
 from .events import Event, GuardError, bit_indices
-from .measure import PreclusionSet
+from .measure import MEASURE_GUARD, PreclusionSet
 
 __all__ = [
     'ALWAYS_FALSE',
@@ -123,7 +123,7 @@ class SchemeResult:
     MMCS search; for the linear scheme `solutions_examined` counts the
     nonzero solutions of the reduced system, 2^(m - rank) - 1, and
     `minimal_supports` the minimal supports of the full system, odd and
-    even (odd only with ``minimal_among_unital``).
+    even.
     """
 
     scheme: str
@@ -177,6 +177,11 @@ def multiplicative_scheme(preclusions: PreclusionSet) -> SchemeResult:
         nodes += 1
         if not uncovered:
             transversals.append(chosen)
+            if len(transversals) > 1 << MEASURE_GUARD:
+                raise GuardError(
+                    f'multiplicative scheme over {space.size} histories listed '
+                    f'{len(transversals)} minimal transversals, past MEASURE_GUARD '
+                    f'of 2^{MEASURE_GUARD} = {1 << MEASURE_GUARD}')
             return
         branch = min((edges[k] & cand for k in bit_indices(uncovered)),
                      key=int.bit_count)
@@ -207,8 +212,7 @@ def multiplicative_scheme(preclusions: PreclusionSet) -> SchemeResult:
                      'transversals': len(transversals)})
 
 
-def linear_scheme(preclusions: PreclusionSet, *,
-                  minimal_among_unital: bool = False) -> SchemeResult:
+def linear_scheme(preclusions: PreclusionSet) -> SchemeResult:
     """Unital sums of classical coevents with minimal support."""
     space = preclusions.space
     n = space.size
@@ -257,12 +261,9 @@ def linear_scheme(preclusions: PreclusionSet, *,
     # minimal among the odd solutions is the same as odd and minimal: an odd
     # S strictly containing an even solution T also contains the odd S + T
     odd_minimal = [t for t in reduced_minimal if t.bit_count() & 1]
-    minimal_count = len(zero_column) + sum(expansions(t) for t in odd_minimal)
-    if not minimal_among_unital:
-        # the even minimal supports: same-class pairs and even reduced solutions
-        minimal_count += sum(len(c) * (len(c) - 1) // 2 for c in classes.values())
-        minimal_count += sum(expansions(t) for t in reduced_minimal
-                             if not t.bit_count() & 1)
+    # a minimal support is a zero column, a same-class pair or a reduced one expanded
+    minimal_count = (len(zero_column) + sum(map(expansions, reduced_minimal))
+                     + sum(len(c) * (len(c) - 1) // 2 for c in classes.values()))
     chosen = [1 << j for j in zero_column]
     for t in odd_minimal:
         for members in product(*(classes[columns[k]] for k in bit_indices(t))):

@@ -1,5 +1,6 @@
 """Exit codes, output bytes, and error reporting of the command line."""
 
+import itertools
 import json
 import os
 import shutil
@@ -260,6 +261,48 @@ def test_unknown_scenario_name(capsys):
     code, _, err = run(capsys, 'solve', 'four_slit', '--scheme', 'linear')
     assert code == 2
     assert 'four_slit' in err and 'bundled' in err
+
+
+def complements_of(groups, size):
+    """Scenario over the groups' histories precluding the complement of
+    every `size`-subset of each group."""
+    labels = [label for group in groups for label in group]
+    lines = [f'histories {" ".join(labels)}\n']
+    for group in groups:
+        for kept in itertools.combinations(group, size):
+            lines.append('precluded {' + ' '.join(l for l in labels if l not in kept) + '}\n')
+    return ''.join(lines)
+
+
+def test_multiplicative_answer_budget(tmp_path, capsys):
+    # 4 groups of 6: a minimal transversal takes 3 of each group, C(6,3)^4 =
+    # 160,000 answers, refused once the count passes 2^14
+    groups = [[f'h{6 * g + i}' for i in range(6)] for g in range(4)]
+    f = tmp_path / 'scn'
+    f.write_text(complements_of(groups, 4))
+    assert len(f.read_text().splitlines()) == 61
+    start = time.perf_counter()
+    code, out, err = run(capsys, 'solve', str(f), '--scheme', 'multiplicative')
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, '')
+    assert err == ('error: multiplicative scheme over 24 histories listed 16385 minimal '
+                   'transversals, past MEASURE_GUARD of 2^14 = 16384\n')
+    # 8 disjoint triples: 3^8 = 6,561 answers stay under the budget
+    f.write_text(complements_of([[f'h{3 * g + i}' for i in range(3)] for g in range(8)], 3))
+    code, out, err = run(capsys, 'solve', str(f), '--scheme', 'multiplicative')
+    assert (code, err) == (0, '')
+    assert len(out.splitlines()) == 3 ** 8
+
+
+@pytest.mark.parametrize('argv', [
+    ('solve', 'two_slit', '--scheme', 'linear'),
+    ('infer', 'two_slit', '--scheme', 'linear', '--query', '{g1}'),
+])
+def test_minimal_among_unital_is_a_usage_error(capsys, argv):
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, '--minimal-among-unital')
+    assert (code, out) == (2, '')
+    assert 'unrecognized arguments: --minimal-among-unital' in err
 
 
 def test_bad_coevent_argument(capsys):

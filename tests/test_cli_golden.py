@@ -106,9 +106,6 @@ def cases():
                         ['infer', name, '--scheme', scheme, '--given', f'{every}=1',
                          '--given', f'{{{first}}}=0', '--query', f'{{{labels[-1]}}}'],
                         None, False))
-        out.append((f'{name}/solve-linear-minimal-among-unital',
-                    ['solve', name, '--scheme', 'linear', '--minimal-among-unital'],
-                    None, False))
         out.append((f'{name}/eval-atom', ['eval', name, '--coevent', poly,
                                           '--event', f'{{{first}}}'], None, False))
         out.append((f'{name}/eval-full', ['eval', name, '--coevent', poly,
@@ -147,6 +144,14 @@ def cases():
         ('usage/missing-event', ['eval', 'three_slit', '--coevent', 'a*'], None, True),
         ('usage/help', ['--help'], None, True),
         ('usage/solve-help', ['solve', '--help'], None, True),
+        ('edges/solve-ideal-tied-sets', ['solve', SCENARIO, '--scheme', 'ideal'],
+         'histories a b c\nprecluded {a b c}\n', False),
+        ('edges/check-oracle-n5', ['check', SCENARIO, '--oracle'],
+         'histories a b c d e\nprecluded {a b}\n', False),
+        ('guards/space-25', ['preclusions', SCENARIO],
+         'histories ' + ' '.join(f'h{i}' for i in range(25)) + '\n', False),
+        ('guards/nullity-21', ['solve', SCENARIO, '--scheme', 'linear'],
+         'histories ' + ' '.join(f'h{i}' for i in range(21)) + '\nprecluded {}\n', False),
     ]
     return out
 

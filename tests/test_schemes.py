@@ -93,20 +93,6 @@ class TestLinear:
             assert phi.is_linear() and phi.is_unital()
             assert phi.is_preclusive(p.events)
 
-    def test_minimality_order_never_matters(self):
-        # the solution set is a GF(2) subspace: if an odd solution strictly
-        # contains a nonzero even solution T, it also contains the smaller
-        # odd solution S+T, so both option orders pick the same coevents
-        rng = random.Random(4)
-        for _ in range(60):
-            n = rng.randint(1, 4)
-            space = SampleSpace('wxyz'[:n])
-            p = PreclusionSet.explicit(
-                space, [ev for ev in space.events() if rng.random() < 0.35])
-            default = linear_scheme(p)
-            flagged = linear_scheme(p, minimal_among_unital=True)
-            assert default.coevents == flagged.coevents
-
     def test_nullspace_diagnostic(self, two_slit):
         result = linear_scheme(two_slit.preclusion_set())
         assert result.diagnostics['nullspace_dimension'] == 3
@@ -279,12 +265,16 @@ class TestPinnedCorpus:
             want = brute_transversals(p.masks, n)
             assert {phi.masks for phi in result.coevents} == {frozenset([f]) for f in want}
             assert result.diagnostics['transversals'] == len(want)
-            for flag in (False, True):
-                result = linear_scheme(p, minimal_among_unital=flag)
-                odd, count = brute_supports(p.masks, n, flag)
-                assert ({phi.masks for phi in result.coevents}
-                        == {frozenset(_members(s)) for s in odd})
-                assert result.diagnostics['minimal_supports'] == count
+            result = linear_scheme(p)
+            odd, count = brute_supports(p.masks, n, False)
+            # the solutions form a GF(2) subspace: if an odd solution strictly
+            # contains a nonzero even solution T, it also contains the smaller
+            # odd solution S+T, so judging minimality among the odd solutions
+            # alone picks the same supports
+            assert odd == brute_supports(p.masks, n, True)[0]
+            assert ({phi.masks for phi in result.coevents}
+                    == {frozenset(_members(s)) for s in odd})
+            assert result.diagnostics['minimal_supports'] == count
             seen['reduced nullity >= 3'] += result.diagnostics['solutions_examined'] >= 7
         assert all(count >= 5 for count in seen.values()), seen
 
@@ -296,8 +286,6 @@ class TestPinnedCorpus:
         assert texts(result.coevents) == ['a*+c*+d*', 'b*+c*+d*', 'e*', 'f*']
         # {a b} is the one even minimal support
         assert result.diagnostics['minimal_supports'] == 5
-        assert linear_scheme(p, minimal_among_unital=True).diagnostics[
-            'minimal_supports'] == 4
         assert texts(multiplicative_scheme(p).coevents) == [
             'a*c*d*', 'b*c*d*', 'e*', 'f*']
 
