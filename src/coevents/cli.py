@@ -107,11 +107,12 @@ def _scenario_text(argument: str) -> str:
     path = Path(argument)
     if path.is_file():
         return path.read_text(encoding='utf-8-sig')  # tolerate a byte-order mark
-    if '/' not in argument and argument in bundled_names():
+    try:
         return load_bundled(argument)
-    known = ', '.join(bundled_names())
-    raise OSError(f'no such scenario file or bundled name: {argument!r} '
-                  f'(bundled: {known})')
+    except ValueError:
+        known = ', '.join(bundled_names())
+        raise OSError(f'no such scenario file or bundled name: {argument!r} '
+                      f'(bundled: {known})') from None
 
 
 def _solve(scenario, args):

@@ -169,6 +169,8 @@ class Event:
     __slots__ = ('space', 'bits')
 
     def __init__(self, space: SampleSpace, bits: int):
+        if not isinstance(bits, int):
+            raise TypeError(f'bitmask must be an int, got {type(bits).__name__}')
         if not 0 <= bits < (1 << space.size):
             raise ValueError(f'bitmask {bits:#x} out of range for a space of size {space.size}')
         self.space = space

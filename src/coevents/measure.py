@@ -62,11 +62,11 @@ class GaussianRational:
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
 
-    def __post_init__(self):  # parsed parts already are Fractions
+    def __post_init__(self):  # the one coercion; parsed parts already are Fractions
         if type(self.re) is not Fraction:
-            object.__setattr__(self, 're', Fraction(self.re))
+            object.__setattr__(self, 're', _exact(self.re))
         if type(self.im) is not Fraction:
-            object.__setattr__(self, 'im', Fraction(self.im))
+            object.__setattr__(self, 'im', _exact(self.im))
 
     def conjugate(self) -> 'GaussianRational':
         return GaussianRational(self.re, -self.im)
@@ -75,12 +75,14 @@ class GaussianRational:
         return render_complex(self)
 
 
+def _exact(part: object) -> Fraction:
+    if isinstance(part, (int, Fraction)):
+        return Fraction(part)
+    raise TypeError(f'cannot interpret {type(part).__name__} as a Gaussian rational')
+
+
 def _gaussian(value: _Scalar) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
-    raise TypeError(f'cannot interpret {type(value).__name__} as a Gaussian rational')
+    return value if isinstance(value, GaussianRational) else GaussianRational(value)
 
 
 _RATIONAL = r'-?\d+(?:/\d+)?'
@@ -239,7 +241,7 @@ class DecoherenceMatrix:
                 null = [ev for ev in self.space.events() if self.measure(ev) == 0]
             else:
                 null = [Event(self.space, m) for m in self._block_nulls()]
-            self._preclusions = PreclusionSet(self.space, null, provenance='measure')
+            self._preclusions = PreclusionSet(self.space, null)
         return self._preclusions
 
     def _block_nulls(self) -> list[int]:
@@ -322,17 +324,12 @@ def _subset_sums(terms: Sequence[tuple[int, int, int]]) -> dict:
 class PreclusionSet:
     """The events declared impossible; always contains the empty event.
 
-    `provenance` records whether the zeros were computed from a measure
-    ('measure') or declared outright ('explicit').  Equality compares the
-    space and the event family only.
+    Equality compares the space and the event family.
     """
 
-    __slots__ = ('space', 'masks', 'provenance', '_events')
+    __slots__ = ('space', 'masks', '_events')
 
-    def __init__(self, space: SampleSpace, events: Iterable[Event] = (),
-                 provenance: str = 'explicit'):
-        if provenance not in ('explicit', 'measure'):
-            raise ValueError(f"provenance must be 'explicit' or 'measure', got {provenance!r}")
+    def __init__(self, space: SampleSpace, events: Iterable[Event] = ()):
         masks = {0}
         for ev in events:
             if not isinstance(ev, Event):
@@ -342,12 +339,11 @@ class PreclusionSet:
             masks.add(ev.bits)
         self.space = space
         self.masks = frozenset(masks)
-        self.provenance = provenance
         self._events: tuple[Event, ...] | None = None
 
     @classmethod
     def explicit(cls, space: SampleSpace, events: Iterable[Event]) -> 'PreclusionSet':
-        return cls(space, events, provenance='explicit')
+        return cls(space, events)
 
     @property
     def events(self) -> tuple[Event, ...]:
@@ -376,7 +372,7 @@ class PreclusionSet:
 
     def __repr__(self) -> str:
         inner = ', '.join(str(ev) for ev in self.events)
-        return f'PreclusionSet([{inner}], {self.provenance!r})'
+        return f'PreclusionSet([{inner}])'
 
     def precludes_everything(self) -> bool:
         return len(self.masks) == 1 << self.space.size

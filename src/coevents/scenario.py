@@ -75,10 +75,9 @@ class ParseDiagnostic:
     line: int
     column: int
     message: str
-    severity: str = 'error'
 
     def __str__(self) -> str:
-        return f'{self.line}:{self.column}: {self.severity}: {self.message}'
+        return f'{self.line}:{self.column}: error: {self.message}'
 
 
 class ScenarioError(Exception):
@@ -392,9 +391,8 @@ def bundled_names() -> tuple[str, ...]:
 
 
 def load_bundled(name: str) -> str:
-    """Text of a bundled scenario file."""
-    entry = resources.files('coevents').joinpath('data').joinpath(name)
-    if not entry.is_file():
-        known = ', '.join(bundled_names())
-        raise ValueError(f'unknown bundled scenario {name!r}; bundled: {known}')
-    return entry.read_text(encoding='utf-8')
+    """Text of a bundled scenario file; `name` must be one of `bundled_names()`."""
+    known = bundled_names()
+    if name not in known:
+        raise ValueError(f'unknown bundled scenario {name!r}; bundled: {", ".join(known)}')
+    return resources.files('coevents').joinpath('data').joinpath(name).read_text(encoding='utf-8')

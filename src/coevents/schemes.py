@@ -129,7 +129,6 @@ class SchemeResult:
     scheme: str
     coevents: tuple[Coevent, ...]
     total_complexity: int | None = None
-    unique: bool = True
     generating_sets: tuple[tuple[Coevent, ...], ...] | None = None
     uncovered_by_unital: tuple[Event, ...] = ()
     diagnostics: Mapping[str, int] = field(default_factory=dict, compare=False)
@@ -137,6 +136,11 @@ class SchemeResult:
     @property
     def is_viable(self) -> bool:
         return bool(self.coevents)
+
+    @property
+    def unique(self) -> bool:
+        """At most one minimum generating set; always True outside the ideal scheme."""
+        return self.generating_sets is None or len(self.generating_sets) <= 1
 
 
 def _canonical(coevents: Iterable[Coevent]) -> tuple[Coevent, ...]:
@@ -348,8 +352,7 @@ def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
 
     if universe == 0:
         return SchemeResult(
-            scheme='ideal', coevents=(), total_complexity=None, unique=True,
-            generating_sets=(),
+            scheme='ideal', coevents=(), total_complexity=None, generating_sets=(),
             diagnostics={'candidates': 0, 'nodes': 0, 'optimal_sets': 0})
 
     # candidates: every nonzero preclusive coevent, i.e. every nonzero truth
@@ -440,7 +443,6 @@ def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
         scheme='ideal',
         coevents=unital,
         total_complexity=best_weight,
-        unique=len(sets_out) == 1,
         generating_sets=tuple(sets_out),
         uncovered_by_unital=uncovered_events,
         diagnostics={'candidates': (1 << len(elements)) - 1, 'nodes': nodes,

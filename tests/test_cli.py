@@ -223,9 +223,9 @@ def test_check_enumerates_each_measure_once(tmp_path, capsys, monkeypatch, flags
         counts['matrix'] += 1
         init(self, *args, **kwargs)
 
-    def counting_preclusions(self, space, events=(), provenance='explicit'):
-        counts['derivations'] += provenance == 'measure'
-        preclusion_init(self, space, events, provenance)
+    def counting_preclusions(self, space, events=()):
+        counts['derivations'] += 1  # both scenarios derive their set from a measure
+        preclusion_init(self, space, events)
     monkeypatch.setattr(DecoherenceMatrix, 'measure', counting_measure)
     monkeypatch.setattr(DecoherenceMatrix, '__init__', counting_init)
     monkeypatch.setattr(PreclusionSet, '__init__', counting_preclusions)

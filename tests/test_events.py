@@ -42,6 +42,13 @@ def test_space_structural_equality(abc):
     assert hash(abc) == hash(SampleSpace('abc'))
 
 
+def test_bitmask_must_be_an_int():
+    space = SampleSpace(['a'])
+    with pytest.raises(TypeError, match='bitmask must be an int, got float'):
+        Event(space, 1.0)
+    assert Event(space, True) == space.full  # a bool is an int
+
+
 def test_events_enumeration_order(xy):
     listed = list(xy.events())
     assert [ev.bits for ev in listed] == [0, 1, 2, 3]

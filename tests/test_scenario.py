@@ -1,5 +1,6 @@
 """Scenario parsing with positioned diagnostics, rendering, bundled files."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -32,6 +33,11 @@ class TestBundled:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             load_bundled('four_slit')
+
+    @pytest.mark.parametrize('name', ['../cli.py', '../../../pyproject.toml'])
+    def test_no_file_outside_the_bundle(self, name):
+        with pytest.raises(ValueError, match='unknown bundled scenario'):
+            load_bundled(name)
 
     def test_two_slit_contents(self, two_slit):
         assert two_slit.mode == 'amplitudes'
@@ -114,6 +120,7 @@ class TestDiagnostics:
     def test_str_format(self):
         d = ParseDiagnostic(3, 7, 'boom')
         assert str(d) == '3:7: error: boom'
+        assert [f.name for f in dataclasses.fields(d)] == ['line', 'column', 'message']
 
     def test_missing_histories(self):
         assert positions('precluded {a}\n') == [(1, 1)]

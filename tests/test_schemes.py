@@ -1,5 +1,6 @@
 """The three scheme solvers and anhomomorphic inference."""
 
+import dataclasses
 import random
 
 import pytest
@@ -129,7 +130,7 @@ def full_scan_ideal(preclusions):
     universe = _universe(preclusions)
     if universe == 0:
         return SchemeResult(
-            scheme='ideal', coevents=(), total_complexity=None, unique=True,
+            scheme='ideal', coevents=(), total_complexity=None,
             generating_sets=(),
             diagnostics={'candidates': 0, 'nodes': 0, 'optimal_sets': 0})
     everything = (1 << (1 << n)) - 1
@@ -189,7 +190,7 @@ def full_scan_ideal(preclusions):
                        key=lambda m: (m.bit_count(), m))
     return SchemeResult(
         scheme='ideal', coevents=tuple(unital), total_complexity=best['weight'],
-        unique=len(sets_out) == 1, generating_sets=tuple(sets_out),
+        generating_sets=tuple(sets_out),
         uncovered_by_unital=tuple(Event(space, a) for a in uncovered),
         diagnostics={'candidates': len(candidates), 'nodes': best['nodes'],
                      'optimal_sets': len(sets_out)})
@@ -373,6 +374,14 @@ class TestIdeal:
         assert result.generating_sets
         assert not result.unique
         assert all(not phi.is_unital() for s in result.generating_sets for phi in s)
+
+    def test_unique_follows_the_generating_sets(self, abc):
+        assert 'unique' not in {f.name for f in dataclasses.fields(SchemeResult)}
+        tied = ideal_scheme(explicit(abc, '{a b c}'))
+        assert len(tied.generating_sets) > 1 and not tied.unique
+        assert dataclasses.replace(tied, generating_sets=tied.generating_sets[:1]).unique
+        assert ideal_scheme(PreclusionSet.explicit(abc, abc.events())).unique  # no sets
+        assert SchemeResult('linear', ()).unique  # no generating sets outside the ideal scheme
 
     def test_cover_and_join_properties(self, abc):
         rng = random.Random(6)
