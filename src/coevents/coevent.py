@@ -214,8 +214,8 @@ class Coevent:
         return self.masks == frozenset((0,))
 
     def is_unital(self) -> bool:
-        """True iff φ(Ω) = 1."""
-        return self(self.space.full) == 1
+        """True iff φ(Ω) = 1: every monomial lies in Ω, so an odd count."""
+        return len(self.masks) % 2 == 1
 
     def is_linear(self) -> bool:
         """True iff φ(A+B) = φ(A)+φ(B) always: every monomial is an atom."""

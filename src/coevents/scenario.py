@@ -340,22 +340,20 @@ def render_result(result: SchemeResult, format: str = 'text') -> str:
         return json.dumps(_result_document(result), indent=2) + '\n'
     if format != 'text':
         raise ValueError(f"format must be 'text' or 'json', got {format!r}")
-    lines = []
-    if result.coevents:
-        lines.extend(_coevent_line(phi) for phi in result.coevents)
-    else:
-        lines.append('no viable coevent')
+    # tied ideal sets share members: render each distinct one once
+    line = functools.cache(_coevent_line) if result.scheme == 'ideal' else _coevent_line
+    lines = [line(phi) for phi in result.coevents] or ['no viable coevent']
     if result.scheme == 'ideal' and result.generating_sets:
         if result.unique:
             lines.append(f'generating set: total complexity {result.total_complexity}, unique')
-            lines.extend('  ' + _coevent_line(phi) for phi in result.generating_sets[0])
+            lines.extend('  ' + line(phi) for phi in result.generating_sets[0])
         else:
             count = len(result.generating_sets)
             lines.append(f'generating sets: total complexity {result.total_complexity}, '
                          f'{count} alternatives')
             for k, members in enumerate(result.generating_sets, start=1):
                 lines.append(f'  set {k}:')
-                lines.extend('    ' + _coevent_line(phi) for phi in members)
+                lines.extend('    ' + line(phi) for phi in members)
     if result.uncovered_by_unital:
         shown = ' '.join(render_event(e) for e in result.uncovered_by_unital)
         lines.append('warning: unital coevents do not cover all '
@@ -364,19 +362,20 @@ def render_result(result: SchemeResult, format: str = 'text') -> str:
 
 
 def _result_document(result: SchemeResult) -> dict:
+    text = functools.cache(str) if result.scheme == 'ideal' else str
     document = {
         'scheme': result.scheme,
-        'coevents': [str(phi) for phi in result.coevents],
+        'coevents': [text(phi) for phi in result.coevents],
         'total_complexity': result.total_complexity,
         'unique': result.unique,
     }
     if result.scheme == 'ideal' and result.generating_sets is not None:
-        members = sorted({phi for s in result.generating_sets for phi in s}, key=str)
+        members = sorted({phi for s in result.generating_sets for phi in s}, key=text)
         document['generating_set'] = [
-            {'polynomial': str(phi), 'unital': phi.is_unital(),
+            {'polynomial': text(phi), 'unital': phi.is_unital(),
              'complexity': phi.complexity}
             for phi in members]
-        document['generating_sets'] = [[str(phi) for phi in s]
+        document['generating_sets'] = [[text(phi) for phi in s]
                                        for s in result.generating_sets]
         document['uncovered_by_unital'] = [render_event(e)
                                            for e in result.uncovered_by_unital]
@@ -384,6 +383,7 @@ def _result_document(result: SchemeResult) -> dict:
     return document
 
 
+@functools.cache  # the package data does not change while it runs
 def bundled_names() -> tuple[str, ...]:
     """Names of the scenario files shipped with the package."""
     folder = resources.files('coevents').joinpath('data')

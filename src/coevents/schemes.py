@@ -50,15 +50,17 @@ ideal
     weighed at once: the coefficient of a monomial across all candidates
     is one 2^k-bit column, and the columns are summed by ripple carry into
     a few bit planes of complexities, whose weight classes also give the
-    bound.  Truth tables (one 2^n-bit integer each), their word-parallel
-    transforms from :mod:`coevents.coevent` and the tie-break order are
-    built only for the weight classes the search reaches: a few hundred of
-    up to 32,767 candidates at n = 4.  Polynomials as monomial sets are
-    built only for the members of optimal sets.  All minimum-weight
-    generating sets are found; the unital members form the result and the
-    full sets are reported alongside, with a flag listing any non-precluded
-    events the unital members fail to cover (the complement of the union of
-    their truth tables).
+    bound: a list, built once, pairs each weight with the elements held by
+    candidates no heavier.  Truth tables (one 2^n-bit integer each),
+    their transforms and the tie-break order are built only for the weight
+    classes the search reaches: a few hundred of up to 32,767 candidates at
+    n = 4.  Both are linear in c, so each joins two half-table entries, for
+    the low k // 2 bits of c and the rest.  Polynomials as monomial sets are
+    built, and rendered once, only for the members of optimal sets.  All
+    minimum-weight generating sets are found; the unital members form the
+    result and the full sets are reported alongside, with a flag listing any
+    non-precluded events the unital members fail to cover (the complement
+    of the union of their truth tables).
 """
 
 from __future__ import annotations
@@ -360,10 +362,26 @@ def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
     # monomial masks.  All are weighed at once; a weight class becomes truth
     # tables only when the scan first reaches it.
     elements = list(bit_indices(universe))
+    k = len(elements)
     classes = _weight_classes(elements, n)
-    # the weight of the cheapest candidate containing each element
-    min_weight_for = {e: next(w for w, mask in classes if mask & ~lacking)
-                      for e, lacking in zip(elements, _lacking(len(elements)))}
+    # (w, the elements some candidate of weight <= w holds), ascending
+    reach: list[tuple[int, int]] = []
+    reached = 0
+    for w, mask in classes:
+        if reached != universe:
+            reached |= sum(1 << e for e, lacking in zip(elements, _lacking(k))
+                           if mask & ~lacking)
+            reach.append((w, reached))
+    # a candidate's truth table and ANF are GF(2)-linear in its bits, so
+    # both come from two half-tables, over its low h bits and its high bits
+    h = k // 2
+    low = (1 << h) - 1
+    tt_lo, tt_hi, anf_lo, anf_hi = [0], [0], [0], [0]
+    for j, e in enumerate(elements):
+        single = _anf(1 << e, n)
+        tts, anfs = (tt_lo, anf_lo) if j < h else (tt_hi, anf_hi)
+        tts.extend([t | 1 << e for t in tts])
+        anfs.extend([a ^ single for a in anfs])
     pending = classes[::-1]  # the classes not yet built, lightest last
     weights: list[int] = []
     covers: list[int] = []
@@ -378,14 +396,17 @@ def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
                            and weight + pending[-1][0] > best_weight):
             return False
         w, mask = pending.pop()
-        block = sorted((_anf_order(_anf(tt, n)), tt) for tt in (
-            sum(1 << elements[j] for j in bit_indices(c)) for c in bit_indices(mask)))
+        block = sorted((_anf_order(anf_lo[c & low] ^ anf_hi[c >> h]),
+                        tt_lo[c & low] | tt_hi[c >> h]) for c in bit_indices(mask))
         covers.extend(tt for _, tt in block)
         weights.extend([w] * len(block))
         return True
 
     def lower_bound(uncovered: int) -> int:
-        return max(min_weight_for[e] for e in bit_indices(uncovered))
+        for w, held in reach:  # the last entry holds every element
+            if not uncovered & ~held:
+                break
+        return w
 
     def search(covered: int, weight: int, chosen: tuple[int, ...]) -> None:
         nonlocal best_weight, nodes
@@ -414,12 +435,11 @@ def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
     search(0, 0, ())
     assert best_weight is not None and best_sets
 
-    member = {idx: Coevent._from_table(space, covers[idx])
-              for s in best_sets for idx in s}
-    sets_out = sorted(
-        (tuple(sorted((member[idx] for idx in s), key=str))
-         for s in best_sets),
-        key=lambda members: tuple(map(str, members)))
+    member = {idx: Coevent._from_table(space, covers[idx]) for idx in set().union(*best_sets)}
+    text = {idx: str(phi) for idx, phi in member.items()}
+    sets_out = [tuple(member[idx] for idx in s) for s in sorted(
+        (sorted(s, key=text.__getitem__) for s in best_sets),
+        key=lambda s: [text[idx] for idx in s])]
     full_event = 1 << space.full.bits
     covered_by_unital = 0
     for indices in best_sets:
@@ -429,10 +449,9 @@ def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
             if covers[idx] & full_event:  # unital: true on the whole space
                 covered_by_unital |= covers[idx]
         assert joined == universe  # each set generates the whole preclusive ideal
-    unital = _canonical(phi for members in sets_out for phi in members
-                        if phi.is_unital())
-    assert all(phi.is_preclusive(preclusions)
-               for members in sets_out for phi in members)
+    unital = tuple(member[idx] for idx in sorted(member, key=text.__getitem__)
+                   if covers[idx] & full_event)
+    assert all(phi.is_preclusive(preclusions) for phi in member.values())
 
     uncovered = universe & ~covered_by_unital
     uncovered_events = tuple(
@@ -445,7 +464,7 @@ def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
         total_complexity=best_weight,
         generating_sets=tuple(sets_out),
         uncovered_by_unital=uncovered_events,
-        diagnostics={'candidates': (1 << len(elements)) - 1, 'nodes': nodes,
+        diagnostics={'candidates': (1 << k) - 1, 'nodes': nodes,
                      'optimal_sets': len(sets_out)})
 
 

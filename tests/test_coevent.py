@@ -186,6 +186,16 @@ def test_predicates(abc):
     assert not Coevent.zero(abc).is_unital()
 
 
+def test_unital_is_the_monomial_parity():
+    rng = random.Random(15)
+    for n in range(1, 9):
+        space = SampleSpace([f'h{i}' for i in range(n)])
+        for _ in range(40):
+            masks = {rng.getrandbits(n) for _ in range(rng.randint(0, 12))}
+            phi = coevent_of_masks(space, masks)
+            assert phi.is_unital() == (phi(space.full) == 1)
+
+
 def test_is_preclusive(abc):
     precluded = [abc.event(['a', 'c']), abc.event(['b', 'c'])]
     assert parse_coevent('a*b*', abc).is_preclusive(precluded)

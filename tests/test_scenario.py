@@ -30,6 +30,9 @@ class TestBundled:
         assert bundled_names() == (
             'ab_correlation', 'everything_precluded', 'three_slit', 'two_slit')
 
+    def test_names_are_listed_once(self):
+        assert bundled_names() is bundled_names()
+
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             load_bundled('four_slit')

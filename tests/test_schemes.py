@@ -1,6 +1,7 @@
 """The three scheme solvers and anhomomorphic inference."""
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from coevents import (ALWAYS_FALSE, ALWAYS_TRUE, CONTINGENT, VACUOUS, Event,
 from coevents.coevent import Coevent, _anf, _lacking
 from coevents.events import bit_indices
 from coevents.measure import PreclusionSet
+from coevents.scenario import render_result
 from coevents.schemes import SchemeResult, _anf_order, _universe, _weight_classes
 
 
@@ -410,6 +412,9 @@ class TestIdeal:
             ideal_scheme(PreclusionSet.explicit(space, []))
 
 
+IDEAL_RENDER_DIGEST = '0463efc3664a88346951e7af7806b7e1913058aa6fe4277852653c375e8b96e7'
+
+
 class TestIdealCorpus:
 
     def test_seeded_n4_sets(self):
@@ -486,6 +491,23 @@ class TestIdealCorpus:
             assert ideal_fields(ideal_scheme(p)) == ideal_fields(full_scan_ideal(p)), p.masks
             sizes.add(16 - len(p))
         assert {0, 1, 2, 15} <= sizes
+
+    def test_rendered_corpus_is_pinned(self):
+        # text and JSON of 400 seeded sets at n = 1-4, the empty event
+        # included; the digest was taken from the solver that built every
+        # candidate's table and transform directly, before the half-tables
+        rng = random.Random(1515)
+        digest = hashlib.sha256()
+        for k in range(400):
+            n = 1 + k % 4
+            space = SampleSpace('abcd'[:n])
+            density = rng.choice((0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9))
+            p = PreclusionSet.explicit(
+                space, [Event(space, a) for a in range(1 << n) if rng.random() < density])
+            result = ideal_scheme(p)
+            digest.update(render_result(result).encode())
+            digest.update(render_result(result, 'json').encode())
+        assert digest.hexdigest() == IDEAL_RENDER_DIGEST
 
     def test_bit_plane_weights(self):
         # nothing precluded at n = 4: all 2^15 - 1 candidates
