@@ -34,8 +34,8 @@ import functools
 from typing import Callable, Iterable
 
 from .events import (Event, GuardError, ParseError, SampleSpace,
-                     SpaceMismatchError, _label_bit, _sum_terms, bit_indices,
-                     canonical_key)
+                     _check_same_space, _label_bit, _member_bits, _sum_terms,
+                     bit_indices, canonical_key)
 from .measure import PreclusionSet
 
 __all__ = [
@@ -106,11 +106,7 @@ class Coevent:
         """Build from monomial events; duplicates cancel in pairs (Z2)."""
         masks: set[int] = set()
         for ev in monomials:
-            if not isinstance(ev, Event):
-                raise TypeError(f'monomials must be Events, got {type(ev).__name__}')
-            if ev.space != space:
-                raise SpaceMismatchError('monomial belongs to a different sample space')
-            masks ^= {ev.bits}
+            masks ^= {_member_bits(space, ev, 'monomial')}
         self.space = space
         self.masks = frozenset(masks)
 
@@ -167,27 +163,21 @@ class Coevent:
 
     def __call__(self, event: Event) -> int:
         """φ(A): parity of the number of monomials contained in A."""
-        if not isinstance(event, Event):
-            raise TypeError(f'coevents evaluate on Events, got {type(event).__name__}')
-        if event.space != self.space:
-            raise SpaceMismatchError('event belongs to a different sample space')
-        bits = event.bits
+        bits = _member_bits(self.space, event, 'event')
         return sum(1 for m in self.masks if (m & bits) == m) & 1
 
     def __add__(self, other: Coevent) -> Coevent:
         """Pointwise Z2 sum: monomials cancel in pairs."""
         if not isinstance(other, Coevent):
             return NotImplemented
-        if other.space != self.space:
-            raise SpaceMismatchError('operands belong to different sample spaces')
+        _check_same_space(self, other)
         return Coevent._raw(self.space, self.masks ^ other.masks)
 
     def __mul__(self, other: Coevent) -> Coevent:
         """Pointwise product: monomials combine by union, then cancel mod 2."""
         if not isinstance(other, Coevent):
             return NotImplemented
-        if other.space != self.space:
-            raise SpaceMismatchError('operands belong to different sample spaces')
+        _check_same_space(self, other)
         acc: set[int] = set()
         for f in self.masks:
             for g in other.masks:
@@ -232,24 +222,24 @@ class Coevent:
     def is_preclusive(self, precluded: Iterable[Event]) -> bool:
         """True iff φ maps every precluded event to 0.
 
-        A :class:`PreclusionSet` is checked for its space once and then
-        evaluated on its bitmasks directly.
+        A :class:`PreclusionSet` is checked for its space once, any other
+        iterable event by event; both are then evaluated on bitmasks.
         """
         if isinstance(precluded, PreclusionSet):
-            if precluded.space != self.space:
-                raise SpaceMismatchError(
-                    'preclusion set belongs to a different sample space')
-            # the evaluation of __call__, inlined: the solvers' self-checks
-            # run it once per precluded event per answer
-            for z in precluded.masks:
-                parity = 0
-                for m in self.masks:
-                    if m & z == m:
-                        parity ^= 1
-                if parity:
-                    return False
-            return True
-        return all(self(z) == 0 for z in precluded)
+            _check_same_space(self, precluded)
+            masks = precluded.masks
+        else:
+            masks = (_member_bits(self.space, z, 'event') for z in precluded)
+        # the evaluation of __call__, inlined: the solvers' self-checks
+        # run it once per precluded event per answer
+        for z in masks:
+            parity = 0
+            for m in self.masks:
+                if m & z == m:
+                    parity ^= 1
+            if parity:
+                return False
+        return True
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Coevent)

@@ -15,6 +15,12 @@ belongs to; combining events from different spaces raises
 confusion is the dominant mistake in this kind of code.  Two spaces with the
 same ordered labels compare equal and are interchangeable.
 
+Three helpers are the one input boundary, called by the other modules
+rather than repeated: :func:`_member_bits` (an argument is an Event of the
+given space, else ``TypeError`` or :class:`SpaceMismatchError`),
+:func:`_check_same_space` (two operands share one space) and
+:func:`_label_problems` (the history-label rule, for spaces and scenarios).
+
 Event text syntax (shared with scenario files and the CLI): ``{a c}`` lists
 the member labels inside braces, ``{}`` is the empty event.  Input also
 accepts the sum form ``a+c``, meaning the Z2 sum of singletons, so ``a+a``
@@ -80,9 +86,35 @@ def canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (mask.bit_count(), tuple(bit_indices(mask)))
 
 
-def _check_same_space(a: Event, b: Event) -> None:
+def _check_same_space(a, b) -> None:
+    """Both operands (events, coevents, preclusion sets) share one space."""
     if a.space != b.space:
         raise SpaceMismatchError('operands belong to different sample spaces')
+
+
+def _member_bits(space: SampleSpace, x: object, what: str) -> int:
+    """The bitmask of `x`, which must be an Event of `space`; `what` names it."""
+    if not isinstance(x, Event):
+        raise TypeError(f'{what} must be an Event, got {type(x).__name__}')
+    if x.space is not space and x.space != space:  # `is` skips __eq__ on the common path
+        raise SpaceMismatchError(f'{what} belongs to a different sample space')
+    return x.bits
+
+
+def _label_problems(labels: Iterable[object]) -> Iterator[tuple[int, str]]:
+    """(position, message) for each unusable history label, in order."""
+    seen: set[str] = set()
+    for i, label in enumerate(labels):
+        if not isinstance(label, str) or not label:
+            yield i, f'history label at position {i} is empty or not a string'
+            continue
+        if not _RESERVED_CHARS.isdisjoint(label):
+            yield i, f'history label {label!r} contains a reserved character'
+        elif not _TOKEN.fullmatch(label):  # \S+ fails on whitespace
+            yield i, f'history label {label!r} contains whitespace'
+        elif label in seen:
+            yield i, f'duplicate history label {label!r}'
+        seen.add(label)
 
 
 class SampleSpace:
@@ -97,18 +129,11 @@ class SampleSpace:
         if len(names) > SPACE_GUARD:
             raise GuardError(
                 f'sample space size {len(names)} exceeds the guard of {SPACE_GUARD}')
-        index: dict[str, int] = {}
-        for i, name in enumerate(names):
-            if not isinstance(name, str) or not name:
-                raise ValueError(f'history label at position {i} is empty or not a string')
-            if any(c.isspace() or c in _RESERVED_CHARS for c in name):
-                raise ValueError(
-                    f'history label {name!r} contains whitespace or a reserved character (*+{{}}#=)')
-            if name in index:
-                raise ValueError(f'duplicate history label {name!r}')
-            index[name] = i
+        problem = next(_label_problems(names), None)
+        if problem is not None:
+            raise ValueError(problem[1])
         self.names = names
-        self._index = index
+        self._index = {name: i for i, name in enumerate(names)}
 
     @property
     def size(self) -> int:
@@ -218,10 +243,7 @@ class Event:
 
     def union(self, other: Event) -> Event:
         """Union, equal to the ring expression A + B + A*B."""
-        if not isinstance(other, Event):
-            raise TypeError(f'cannot union Event with {type(other).__name__}')
-        _check_same_space(self, other)
-        return Event(self.space, self.bits | other.bits)
+        return Event(self.space, self.bits | _member_bits(self.space, other, 'operand'))
 
     def __or__(self, other: Event) -> Event:
         if not isinstance(other, Event):
@@ -239,8 +261,7 @@ class Event:
         return self.bits.bit_count() == 1
 
     def issubset(self, other: Event) -> bool:
-        _check_same_space(self, other)
-        return self.bits & ~other.bits == 0
+        return self.bits & ~_member_bits(self.space, other, 'operand') == 0
 
     def __le__(self, other: Event) -> bool:
         if not isinstance(other, Event):

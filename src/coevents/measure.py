@@ -37,8 +37,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Sequence, Union
 
-from .events import (Event, GuardError, ParseError, SampleSpace,
-                     SpaceMismatchError, bit_indices, canonical_key)
+from .events import (Event, GuardError, ParseError, SampleSpace, _member_bits,
+                     bit_indices, canonical_key)
 
 __all__ = [
     'MEASURE_GUARD',
@@ -174,15 +174,15 @@ class DecoherenceMatrix:
         block_list = [space.full] if blocks is None else list(blocks)
         covered, factors = 0, []
         for block in block_list:
-            if not isinstance(block, Event) or block.space != space:
-                raise SpaceMismatchError('block is not an event over this space')
-            if covered & block.bits:
+            bits = _member_bits(space, block, 'block')
+            if covered & bits:
                 raise ValueError('blocks overlap')
-            covered |= block.bits
-            parts = [x for i in block.indices for x in (amps[i].re, amps[i].im)]
+            covered |= bits
+            indices = tuple(bit_indices(bits))
+            parts = [x for i in indices for x in (amps[i].re, amps[i].im)]
             scale = lcm(*(x.denominator for x in parts))
             ints = [x.numerator * (scale // x.denominator) for x in parts]
-            factors.append((tuple(zip(block.indices, ints[::2], ints[1::2])), scale))
+            factors.append((tuple(zip(indices, ints[::2], ints[1::2])), scale))
         if covered != (1 << n) - 1:
             raise ValueError('blocks do not cover every history')
         return cls(space, None, tuple(factors))
@@ -216,9 +216,8 @@ class DecoherenceMatrix:
 
     def measure(self, event: Event) -> Fraction:
         """μ(A), exact; zero means precluded.  D is Hermitian, so only real parts count."""
-        if event.space != self.space:
-            raise SpaceMismatchError('event belongs to a different sample space')
-        rows, members = self.entries, event.indices
+        members = tuple(bit_indices(_member_bits(self.space, event, 'event')))
+        rows = self.entries
         return sum((rows[i][j].re for i in members for j in members), Fraction(0))
 
     def _guard(self, work: str) -> None:
@@ -330,15 +329,9 @@ class PreclusionSet:
     __slots__ = ('space', 'masks', '_events')
 
     def __init__(self, space: SampleSpace, events: Iterable[Event] = ()):
-        masks = {0}
-        for ev in events:
-            if not isinstance(ev, Event):
-                raise TypeError(f'precluded entries must be Events, got {type(ev).__name__}')
-            if ev.space != space:
-                raise SpaceMismatchError('precluded event belongs to a different sample space')
-            masks.add(ev.bits)
         self.space = space
-        self.masks = frozenset(masks)
+        self.masks = frozenset([0, *(_member_bits(space, ev, 'precluded event')
+                                     for ev in events)])
         self._events: tuple[Event, ...] | None = None
 
     @classmethod

@@ -32,8 +32,8 @@ from importlib import resources
 from typing import Iterable
 
 from .coevent import Coevent
-from .events import (_RESERVED_CHARS, _TOKEN, Event, ParseError, SampleSpace,
-                     _label_bit, canonical_key, parse_event, render_event)
+from .events import (_TOKEN, Event, ParseError, SampleSpace, _label_bit,
+                     _label_problems, canonical_key, parse_event, render_event)
 from .measure import (DecoherenceMatrix, GaussianRational, PreclusionSet,
                       first_non_hermitian, parse_complex, render_complex)
 from .schemes import SchemeResult
@@ -216,14 +216,8 @@ def _parse_histories(lineno, line, tokens, diags) -> SampleSpace | None:
         _report(diags, lineno, _columns(line)[0], _DIRECTIVES['histories'][1])
         return None
     reported = len(diags)
-    seen: set[str] = set()
-    for k, label in enumerate(labels, 1):
-        if not _RESERVED_CHARS.isdisjoint(label):  # '#' was cut with the comment
-            _report(diags, lineno, _columns(line)[k],
-                    f'history label {label!r} contains a reserved character')
-        elif label in seen:
-            _report(diags, lineno, _columns(line)[k], f'duplicate history label {label!r}')
-        seen.add(label)
+    for k, problem in _label_problems(labels):  # '#' was cut with the comment
+        _report(diags, lineno, _columns(line)[k + 1], problem)
     if len(diags) > reported:
         return None
     try:

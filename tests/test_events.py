@@ -4,8 +4,10 @@ import itertools
 
 import pytest
 
-from coevents import (Event, GuardError, ParseError, SampleSpace,
-                      SpaceMismatchError, parse_event, render_event)
+from coevents import (Coevent, DecoherenceMatrix, Event, GuardError,
+                      ParseError, PreclusionSet, SampleSpace, ScenarioError,
+                      SpaceMismatchError, parse_event, parse_scenario,
+                      render_event)
 
 
 def test_space_basics(abc):
@@ -101,6 +103,62 @@ def test_space_mismatch_raises(abc, xy):
         abc.full * xy.full
     with pytest.raises(SpaceMismatchError):
         abc.full.union(xy.full)
+
+
+ABC, XY = SampleSpace('abc'), SampleSpace('xy')
+ONE, MATRIX = Coevent.one(ABC), DecoherenceMatrix.from_amplitudes(ABC, [1, 1, -1])
+
+# every argument that must be an Event of ABC, fed one foreign value
+EVENT_ARGUMENTS = {
+    'union': lambda x: ABC.full.union(x),
+    'issubset': lambda x: ABC.empty.issubset(x),
+    'Coevent': lambda x: Coevent(ABC, [x]),
+    'evaluate': lambda x: ONE(x),
+    'is_preclusive': lambda x: ONE.is_preclusive([x]),
+    'PreclusionSet': lambda x: PreclusionSet(ABC, [x]),
+    'from_amplitudes': lambda x: DecoherenceMatrix.from_amplitudes(ABC, [1, 1, -1], [x]),
+    'measure': lambda x: MATRIX.measure(x),
+}
+FOREIGN = {'non-event': ('{a}', TypeError), 'other-space': (XY.full, SpaceMismatchError)}
+
+BOUNDARY_CASES = [
+    *(pytest.param(lambda call=call, x=x: call(x), error, id=f'{name}-{kind}')
+      for name, call in EVENT_ARGUMENTS.items() for kind, (x, error) in FOREIGN.items()),
+    pytest.param(lambda: ONE + Coevent.one(XY), SpaceMismatchError, id='add-other-space'),
+    pytest.param(lambda: ONE * Coevent.one(XY), SpaceMismatchError, id='mul-other-space'),
+    pytest.param(lambda: ONE.is_preclusive(PreclusionSet(XY)), SpaceMismatchError,
+                 id='is_preclusive-other-space-set'),
+    *(pytest.param(lambda label=label: SampleSpace(['a', label]), ValueError,
+                   id=f'label-{label!r}')
+      for label in ['', 1, 'b c', *'*+{}#=', 'a']),
+    pytest.param(lambda: ABC.index('zz'), ValueError, id='index-unknown-label'),
+]
+
+
+@pytest.mark.parametrize('call, error', BOUNDARY_CASES)
+def test_boundaries_refuse_foreign_input(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_boundary_messages_name_the_argument():
+    with pytest.raises(TypeError, match='^block must be an Event, got str$'):
+        DecoherenceMatrix.from_amplitudes(ABC, [1, 1, -1], ['{a}'])
+    with pytest.raises(SpaceMismatchError,
+                       match='^precluded event belongs to a different sample space$'):
+        PreclusionSet(ABC, [XY.full])
+
+
+def test_label_messages_are_the_scenario_diagnostics():
+    # the API raises the first problem in the words the scenario reports at its column
+    for labels in (['a', 'b*c'], ['a', 'b', 'a']):
+        with pytest.raises(ValueError) as caught:
+            SampleSpace(labels)
+        with pytest.raises(ScenarioError) as scenario:
+            parse_scenario(f"histories {' '.join(labels)}\nprecluded {{}}\n")
+        assert str(scenario.value).endswith(f'error: {caught.value}')
+    with pytest.raises(ValueError, match=r"^history label 'b c' contains whitespace$"):
+        SampleSpace(['a', 'b c'])
 
 
 def test_render(abc):

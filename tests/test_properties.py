@@ -1,11 +1,18 @@
-"""Round trips on random inputs: parsing a rendered value gives the value back.
+"""Properties on random inputs.
 
-Covers events, coevents, complex numbers and scenario text over random
-spaces of up to 10 histories.  Runs are derandomized and keep no example
-database, so the suite stays deterministic; conftest.py keeps Hypothesis's
-other caches out of the working tree.
+Round trips: parsing a rendered value gives the value back, for events,
+coevents, complex numbers and scenario text over random spaces of up to 10
+histories.  The command line never crashes on scenario text one character
+away from a valid one.  The multiplicative and linear answers on random
+explicit preclusion sets at n <= 8 match their definitions, checked by
+direct set operations over all 2^n subsets.  Runs are derandomized and keep
+no example database, so the suite stays deterministic; conftest.py keeps
+Hypothesis's other caches out of the working tree.
 """
 
+import contextlib
+import io
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,10 +22,12 @@ pytest.importorskip('hypothesis')
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coevents import (Coevent, Event, GaussianRational, SampleSpace,
+from coevents import (Coevent, Event, GaussianRational, PreclusionSet,
+                      SampleSpace, linear_scheme, multiplicative_scheme,
                       parse_coevent, parse_complex, parse_event, parse_scenario,
                       render_coevent, render_complex, render_event,
                       render_scenario)
+from coevents.cli import main
 
 deterministic = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -110,3 +119,92 @@ def test_scenario_round_trip(text):
     assert parse_scenario(rendered) == scenario
     assert render_scenario(parse_scenario(rendered)) == rendered
 
+
+
+# characters with grammar meaning in scenario text, plus the separators
+GRAMMAR_CHARS = '{}*+#=/i \n'
+COMMANDS = (['preclusions'], ['solve', '--scheme', 'multiplicative'],
+            ['solve', '--scheme', 'linear'])
+DIAGNOSTIC = re.compile(r'^(\d+:\d+: )?error: ')
+
+
+@st.composite
+def mutated_scenario_texts(draw):
+    """A valid scenario text, kept, or with one character inserted, deleted or replaced."""
+    text = draw(scenario_texts())
+    edit = draw(st.sampled_from(['keep', 'insert', 'delete', 'replace']))
+    if edit == 'keep':
+        return text
+    at = draw(st.integers(0, len(text) - (edit != 'insert')))
+    char = '' if edit == 'delete' else draw(st.sampled_from(GRAMMAR_CHARS))
+    return text[:at] + char + text[at + (edit != 'insert'):]
+
+
+@deterministic
+@given(mutated_scenario_texts(), st.sampled_from(COMMANDS))
+def test_cli_survives_one_character_edits(tmp_path_factory, text, command):
+    path = tmp_path_factory.getbasetemp() / 'mutated.scenario'
+    path.write_text(text, encoding='utf-8')
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command[0], str(path), *command[1:]])
+    assert code in (0, 1, 2)
+    assert 'Traceback' not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ''
+        lines = err.getvalue().splitlines()
+        assert lines and all(DIAGNOSTIC.match(line) for line in lines), lines
+
+
+@st.composite
+def explicit_preclusions(draw):
+    n = draw(st.integers(1, 8))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+    space = SampleSpace(f'h{i}' for i in range(n))
+    return PreclusionSet(space, [Event(space, m) for m in masks])
+
+
+def submasks(mask):
+    """Every proper subset of `mask`, the empty one included."""
+    sub = mask
+    while sub:
+        sub = (sub - 1) & mask
+        yield sub
+
+
+@deterministic
+@given(explicit_preclusions())
+def test_scheme_answers_meet_their_definitions(preclusions):
+    n, precluded = preclusions.space.size, preclusions.masks
+    subsets = range(1 << n)
+
+    # multiplicative: F* is false on every precluded event iff F lies in none of
+    # them; the answers are the inclusion-minimal such F
+    outside = {f for f in subsets if all(f & ~z for z in precluded)}
+    minimal = {f for f in outside if not any(g in outside for g in submasks(f))}
+    answers = [phi.masks for phi in multiplicative_scheme(preclusions).coevents]
+    assert len(answers) == len(set(answers))
+    for masks in answers:
+        [f] = masks  # one monomial
+        assert all(f & ~z for z in precluded)  # preclusive
+        assert not any(g in outside for g in submasks(f))  # minimal
+    assert set(answers) == {frozenset([f]) for f in minimal}  # complete
+
+    # linear: the sum of γ* over S is false on a precluded event iff it meets S
+    # evenly; the answers are the odd (unital) supports no smaller nonzero
+    # solution lies inside
+    solutions = {s for s in subsets
+                 if s and all((s & z).bit_count() % 2 == 0 for z in precluded)}
+    supports = {s for s in solutions
+                if s.bit_count() % 2 and not any(t in solutions for t in submasks(s))}
+    answers = [phi.masks for phi in linear_scheme(preclusions).coevents]
+    assert len(answers) == len(set(answers))
+    found = set()
+    for masks in answers:
+        assert all(m.bit_count() == 1 for m in masks)  # a sum of classical coevents
+        s = sum(masks)
+        assert len(masks) % 2 == 1  # unital
+        assert all((s & z).bit_count() % 2 == 0 for z in precluded)  # preclusive
+        assert not any(t in solutions for t in submasks(s))  # support-minimal
+        found.add(s)
+    assert found == supports  # complete
