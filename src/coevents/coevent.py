@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 from typing import Callable, Iterable
 
-from .events import (Event, GuardError, ParseError, SampleSpace,
+from .events import (Event, ParseError, SampleSpace, _check_guard,
                      _check_same_space, _label_bit, _member_bits, _sum_terms,
                      bit_indices, canonical_key)
 from .measure import PreclusionSet
@@ -69,12 +69,6 @@ def _lacking(n: int) -> tuple[int, ...]:
             period *= 2
         families.append(family)
     return tuple(families)
-
-
-def _table_guard(n: int) -> None:
-    if n > TRUTH_TABLE_GUARD:
-        raise GuardError(
-            f'truth table over {n} histories exceeds the guard of {TRUTH_TABLE_GUARD}')
 
 
 def _anf(table: int, n: int) -> int:
@@ -130,7 +124,7 @@ class Coevent:
     @classmethod
     def _from_table(cls, space: SampleSpace, table: int) -> Coevent:
         """The coevent whose truth table is the 2^n-bit integer `table`."""
-        _table_guard(space.size)
+        _check_guard('truth table', space.size, 'TRUTH_TABLE_GUARD', TRUTH_TABLE_GUARD)
         return cls._raw(space, frozenset(bit_indices(_anf(table, space.size))))
 
     @classmethod
@@ -139,7 +133,7 @@ class Coevent:
         """The unique coevent agreeing with `truth` on every event.
 
         `truth` is queried on all 2^n events, in ascending bitmask order,
-        after the size guard has passed.  The answers are collected into
+        after ``TRUTH_TABLE_GUARD`` has passed.  The answers are collected into
         one 2^n-bit integer, whose subset-parity transform is computed
         word-parallel by `_anf` in n shift-xor-mask steps; its set bits
         are the monomials.  Round trip holds both ways: evaluating the
@@ -147,7 +141,7 @@ class Coevent:
         evaluations is returned unchanged.
         """
         n = space.size
-        _table_guard(n)
+        _check_guard('truth table', n, 'TRUTH_TABLE_GUARD', TRUTH_TABLE_GUARD)
         digits = []
         for bits in range(1 << n):
             value = truth(Event(space, bits))

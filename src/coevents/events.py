@@ -15,11 +15,12 @@ belongs to; combining events from different spaces raises
 confusion is the dominant mistake in this kind of code.  Two spaces with the
 same ordered labels compare equal and are interchangeable.
 
-Three helpers are the one input boundary, called by the other modules
-rather than repeated: :func:`_member_bits` (an argument is an Event of the
-given space, else ``TypeError`` or :class:`SpaceMismatchError`),
-:func:`_check_same_space` (two operands share one space) and
-:func:`_label_problems` (the history-label rule, for spaces and scenarios).
+Four helpers hold rules that the other modules call rather than repeat:
+:func:`_member_bits` (an argument is an Event of the given space, else
+``TypeError`` or :class:`SpaceMismatchError`),
+:func:`_check_same_space` (two operands share one space),
+:func:`_label_problems` (the history-label rule, for spaces and scenarios)
+and :func:`_check_guard` (every size guard's refusal, in one wording).
 
 Event text syntax (shared with scenario files and the CLI): ``{a c}`` lists
 the member labels inside braces, ``{}`` is the empty event.  Input also
@@ -54,6 +55,14 @@ _TOKEN = re.compile(r'\S+')
 
 class GuardError(ValueError):
     """An operation would enumerate past its size guard."""
+
+
+def _check_guard(stage: str, size: int, name: str, limit: int,
+                 what: str = '{} histories', refused: str = '') -> None:
+    """Refuse `size` past `limit`: ``<stage>: <what>, past <name> = <limit> (<refused>)``."""
+    if size > limit:
+        tail = f' ({refused})' if refused else ''
+        raise GuardError(f'{stage}: {what.format(size)}, past {name} = {limit}{tail}')
 
 
 class SpaceMismatchError(ValueError):
@@ -126,9 +135,7 @@ class SampleSpace:
         names = tuple(labels)
         if not names:
             raise ValueError('a sample space needs at least one history')
-        if len(names) > SPACE_GUARD:
-            raise GuardError(
-                f'sample space size {len(names)} exceeds the guard of {SPACE_GUARD}')
+        _check_guard('sample space', len(names), 'SPACE_GUARD', SPACE_GUARD)
         problem = next(_label_problems(names), None)
         if problem is not None:
             raise ValueError(problem[1])

@@ -16,9 +16,9 @@ declared, and always the empty event.  A matrix derives its set once: from
 amplitudes, by a meet in the middle over each block's subset sums,
 Σ_b 2^⌈|b|/2⌉ plus the output, refusing more than 2^``MEASURE_GUARD``
 nulls; otherwise by measuring all 2^n events, refusing more than
-``MEASURE_GUARD`` histories.  A :class:`GuardError` comes before any null
-is built.  Only a matrix that is not PSD may fail to absorb its nulls, so
-only those test a row sum per null and history.
+``MEASURE_GUARD`` histories.  The :class:`GuardError`, naming the guard,
+comes before any null is built.  Only a non-PSD matrix may fail to absorb
+its nulls, so only those test a row sum per null and history.
 
 Complex literal grammar (scenario files and the CLI)::
 
@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Sequence, Union
 
-from .events import (Event, GuardError, ParseError, SampleSpace, _member_bits,
+from .events import (Event, ParseError, SampleSpace, _check_guard, _member_bits,
                      bit_indices, canonical_key)
 
 __all__ = [
@@ -222,10 +222,7 @@ class DecoherenceMatrix:
 
     def _guard(self, work: str) -> None:
         n = self.space.size
-        if n > MEASURE_GUARD:
-            raise GuardError(
-                f'{work} over {n} histories would enumerate 2^{n} = {1 << n} events, '
-                f'past MEASURE_GUARD of {MEASURE_GUARD} histories')
+        _check_guard(work, n, 'MEASURE_GUARD', MEASURE_GUARD, refused=f'2^{n} = {1 << n} events')
 
     def preclusions(self) -> 'PreclusionSet':
         """All events of measure zero, derived once.
@@ -251,10 +248,8 @@ class DecoherenceMatrix:
             pairs = [(masks, high[-r, -i]) for (r, i), masks in low.items() if (-r, -i) in high]
             count *= sum(len(a) * len(b) for a, b in pairs)
             joins.append(pairs)
-        if count > 1 << MEASURE_GUARD:
-            raise GuardError(
-                f'preclusion derivation over {self.space.size} histories would list {count} '
-                f'null events, past MEASURE_GUARD of 2^{MEASURE_GUARD} = {1 << MEASURE_GUARD}')
+        _check_guard('preclusion derivation', count, '2^MEASURE_GUARD', 1 << MEASURE_GUARD,
+                     '{} null events')
         masks = [0]
         for pairs in joins:
             masks = [m | a | b for m in masks for lo, hi in pairs for a in lo for b in hi]

@@ -11,8 +11,8 @@ turns answers into :class:`~coevents.coevent.Coevent` objects, and
 :mod:`coevents.schemes` share only the Coevent type with this module,
 never its algorithms, so agreement between the two is meaningful evidence.
 
-Guards are hard errors: n <= 4 for full enumeration (2^16 truth tables),
-n <= 3 for ideal closure and minimum-cover search.
+Guards are hard errors: ``ENUMERATION_GUARD`` = 4 histories (2^16 truth
+tables) for full enumeration, ``CLOSURE_GUARD`` = 3 for closure and cover.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .coevent import Coevent
-from .events import GuardError, SampleSpace
+from .events import SampleSpace, _check_guard
 from .measure import PreclusionSet
 
 __all__ = [
@@ -39,11 +39,6 @@ __all__ = [
 
 ENUMERATION_GUARD = 4
 CLOSURE_GUARD = 3
-
-
-def _require(space: SampleSpace, guard: int) -> None:
-    if space.size > guard:
-        raise GuardError(f'oracle over {space.size} histories exceeds the guard of {guard}')
 
 
 def coevent_from_table(space: SampleSpace, table: int) -> Coevent:
@@ -74,7 +69,7 @@ def table_of(phi: Coevent) -> int:
 
 def enumerate_coevents(space: SampleSpace) -> Iterator[Coevent]:
     """Every coevent exactly once, in ascending truth-table order."""
-    _require(space, ENUMERATION_GUARD)
+    _check_guard('oracle', space.size, 'ENUMERATION_GUARD', ENUMERATION_GUARD)
     for table in range(1 << (1 << space.size)):
         yield coevent_from_table(space, table)
 
@@ -137,7 +132,7 @@ def brute_multiplicative(preclusions: PreclusionSet) -> tuple[Coevent, ...]:
     larger true set means smaller monomial).
     """
     space = preclusions.space
-    _require(space, ENUMERATION_GUARD)
+    _check_guard('oracle', space.size, 'ENUMERATION_GUARD', ENUMERATION_GUARD)
     n_events = 1 << space.size
     all_ones = (1 << n_events) - 1
     pmask = _preclusion_table_mask(preclusions)
@@ -161,7 +156,7 @@ def brute_linear(preclusions: PreclusionSet) -> tuple[Coevent, ...]:
     preclusive, support-minimal among those, and finally unital.
     """
     space = preclusions.space
-    _require(space, ENUMERATION_GUARD)
+    _check_guard('oracle', space.size, 'ENUMERATION_GUARD', ENUMERATION_GUARD)
     n = space.size
     n_events = 1 << n
     pmask = _preclusion_table_mask(preclusions)
@@ -184,7 +179,7 @@ def brute_ideal_closure(space: SampleSpace,
                         coevents: Iterable[Coevent]) -> frozenset[Coevent]:
     """Smallest set containing `coevents`, closed under pairwise sum and
     under multiplication by every coevent of the space."""
-    _require(space, CLOSURE_GUARD)
+    _check_guard('oracle', space.size, 'CLOSURE_GUARD', CLOSURE_GUARD)
     n_events = 1 << space.size
     closed = {0}
     for phi in coevents:
@@ -220,7 +215,7 @@ def brute_min_cover(preclusions: PreclusionSet) -> tuple[tuple[tuple[Coevent, ..
     ((), None): infeasible.
     """
     space = preclusions.space
-    _require(space, CLOSURE_GUARD)
+    _check_guard('oracle', space.size, 'CLOSURE_GUARD', CLOSURE_GUARD)
     n_events = 1 << space.size
     all_ones = (1 << n_events) - 1
     pmask = _preclusion_table_mask(preclusions)

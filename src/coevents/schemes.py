@@ -17,7 +17,7 @@ multiplicative
     once.  If the whole space is precluded the empty edge admits nothing
     and the result is reported empty rather than raising.  No bound on the
     number of answers is known before the search, so it counts them and
-    raises :class:`GuardError` past 2^``MEASURE_GUARD`` = 16,384.
+    raises :class:`GuardError` at 16,385, past 2^``MEASURE_GUARD`` = 16,384.
 
 linear
     Sums of classical coevents.  Preclusivity means every precluded event
@@ -34,8 +34,8 @@ linear
     m the number of distinct nonzero columns, and each is tested locally
     for minimality by the rank criterion for minimal codewords (Ashikhmin
     & Barg, "Minimal vectors in linear codes", 1998): its columns have
-    rank one less than its size.  ``NULLSPACE_GUARD`` still bounds the
-    nullity of the unreduced system, checked before the walk.
+    rank one less than its size.  ``NULLSPACE_GUARD`` = 20 still bounds
+    the nullity of the unreduced system, checked before the walk.
 
 ideal
     A set of preclusive coevents generating, as a ring ideal, all
@@ -71,7 +71,7 @@ from math import prod
 from typing import Iterable, Mapping
 
 from .coevent import Coevent, _anf, _lacking, monomial
-from .events import Event, GuardError, bit_indices
+from .events import Event, _check_guard, bit_indices
 from .measure import MEASURE_GUARD, PreclusionSet
 
 __all__ = [
@@ -183,11 +183,8 @@ def multiplicative_scheme(preclusions: PreclusionSet) -> SchemeResult:
         nodes += 1
         if not uncovered:
             transversals.append(chosen)
-            if len(transversals) > 1 << MEASURE_GUARD:
-                raise GuardError(
-                    f'multiplicative scheme over {space.size} histories listed '
-                    f'{len(transversals)} minimal transversals, past MEASURE_GUARD '
-                    f'of 2^{MEASURE_GUARD} = {1 << MEASURE_GUARD}')
+            _check_guard('multiplicative scheme', len(transversals), '2^MEASURE_GUARD',
+                         1 << MEASURE_GUARD, '{} minimal transversals')
             return
         branch = min((edges[k] & cand for k in bit_indices(uncovered)),
                      key=int.bit_count)
@@ -232,9 +229,8 @@ def linear_scheme(preclusions: PreclusionSet) -> SchemeResult:
                 pivots[other_col] = other_row ^ row
 
     nullity = n - len(pivots)
-    if nullity > NULLSPACE_GUARD:
-        raise GuardError(
-            f'nullspace dimension {nullity} exceeds the guard of {NULLSPACE_GUARD}')
+    _check_guard('linear scheme', nullity, 'NULLSPACE_GUARD', NULLSPACE_GUARD,
+                 'nullspace dimension {}')
 
     # histories with equal reduced columns (bitmasks over the pivot
     # columns) are interchangeable; a pivot history's column is its own bit
@@ -347,9 +343,7 @@ def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
     """Minimum-total-complexity generating sets of the preclusive ideal."""
     space = preclusions.space
     n = space.size
-    if n > IDEAL_SEARCH_GUARD:
-        raise GuardError(
-            f'ideal search over {n} histories exceeds the guard of {IDEAL_SEARCH_GUARD}')
+    _check_guard('ideal search', n, 'IDEAL_SEARCH_GUARD', IDEAL_SEARCH_GUARD)
     universe = _universe(preclusions)
 
     if universe == 0:

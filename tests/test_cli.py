@@ -157,8 +157,8 @@ def test_measure_guard_exits_2(tmp_path, capsys, argv):
     assert out == ''
     # positivity enumerates nothing, so check stops at the absorption guard
     work = 'null-absorption check' if argv[0] == 'check' else 'preclusion derivation'
-    assert err == (f'error: {work} over 15 histories would enumerate 2^15 = 32768 events, '
-                   'past MEASURE_GUARD of 14 histories\n')
+    assert err == (f'error: {work}: 15 histories, past MEASURE_GUARD = 14 '
+                   '(2^15 = 32768 events)\n')
 
 
 @pytest.mark.parametrize('argv', [
@@ -175,8 +175,8 @@ def test_amplitude_null_guard_exits_2(tmp_path, capsys, argv):
                  + ''.join(f'amplitude {l} 0\n' for l in labels))
     code, out, err = run(capsys, argv[0], str(f), *argv[1:])
     assert (code, out) == (2, '')
-    assert err == ('error: preclusion derivation over 15 histories would list 32768 null '
-                   'events, past MEASURE_GUARD of 2^14 = 16384\n')
+    assert err == ('error: preclusion derivation: 32768 null events, '
+                   'past 2^MEASURE_GUARD = 16384\n')
     code, out, _ = run(capsys, 'check', str(f), '--strong-positivity')
     assert (code, out) == (0, 'strong positivity: PASS\nnull-set absorption: PASS\n')
 
@@ -285,8 +285,8 @@ def test_multiplicative_answer_budget(tmp_path, capsys):
     code, out, err = run(capsys, 'solve', str(f), '--scheme', 'multiplicative')
     assert time.perf_counter() - start < 2
     assert (code, out) == (2, '')
-    assert err == ('error: multiplicative scheme over 24 histories listed 16385 minimal '
-                   'transversals, past MEASURE_GUARD of 2^14 = 16384\n')
+    assert err == ('error: multiplicative scheme: 16385 minimal transversals, '
+                   'past 2^MEASURE_GUARD = 16384\n')
     # 8 disjoint triples: 3^8 = 6,561 answers stay under the budget
     f.write_text(complements_of([[f'h{3 * g + i}' for i in range(3)] for g in range(8)], 3))
     code, out, err = run(capsys, 'solve', str(f), '--scheme', 'multiplicative')

@@ -152,8 +152,27 @@ def cases():
          'histories ' + ' '.join(f'h{i}' for i in range(25)) + '\n', False),
         ('guards/nullity-21', ['solve', SCENARIO, '--scheme', 'linear'],
          'histories ' + ' '.join(f'h{i}' for i in range(21)) + '\nprecluded {}\n', False),
+        ('guards/ideal-n5', ['solve', SCENARIO, '--scheme', 'ideal'],
+         'histories a b c d e\nprecluded {a b}\n', False),
+        ('guards/dmatrix-15', ['preclusions', SCENARIO], _dmatrix(
+            [[(-1) ** i if i == j else 0 for j in range(15)] for i in range(15)]), False),
+        ('guards/zero-amplitudes-15', ['preclusions', SCENARIO],
+         'histories ' + ' '.join(f'h{i}' for i in range(15)) + '\n'
+         + ''.join(f'amplitude h{i} 0\n' for i in range(15)), False),
+        # not PSD: diag(1, -1) absorbs its one null, the second matrix does not
+        ('checks/indefinite', ['check', SCENARIO], _dmatrix([[1, 0], [0, -1]]), False),
+        ('checks/indefinite-strong-positivity', ['check', SCENARIO, '--strong-positivity'],
+         _dmatrix([[1, 0], [0, -1]]), False),
+        ('checks/absorption-fails', ['check', SCENARIO],
+         _dmatrix([[1, 0, 1], [0, -1, 0], [1, 0, 0]]), False),
     ]
     return out
+
+
+def _dmatrix(rows):
+    """Scenario text of an entry-built matrix over histories h0, h1, ..."""
+    return ('histories ' + ' '.join(f'h{i}' for i in range(len(rows))) + '\n'
+            + ''.join('dmatrix ' + ' '.join(map(str, row)) + '\n' for row in rows))
 
 
 def invoke(argv, text, directory):

@@ -1,13 +1,15 @@
-"""Boolean ring structure of events and the event text syntax."""
+"""Boolean ring structure of events, the event text syntax, and every size guard."""
 
 import itertools
+import time
 
 import pytest
 
 from coevents import (Coevent, DecoherenceMatrix, Event, GuardError,
                       ParseError, PreclusionSet, SampleSpace, ScenarioError,
-                      SpaceMismatchError, parse_event, parse_scenario,
-                      render_event)
+                      SpaceMismatchError, coevent, events, ideal_scheme,
+                      linear_scheme, measure, multiplicative_scheme, oracle,
+                      parse_event, parse_scenario, render_event, schemes)
 
 
 def test_space_basics(abc):
@@ -36,6 +38,104 @@ def test_space_guard():
     SampleSpace(f'h{i}' for i in range(24))  # at the limit: fine
     with pytest.raises(GuardError):
         SampleSpace(f'h{i}' for i in range(25))
+
+
+def _space(n):
+    return SampleSpace(f'h{i}' for i in range(n))
+
+
+def _free(n):
+    """Nothing precluded over n histories."""
+    return PreclusionSet(_space(n), [])
+
+
+def _indefinite(n):
+    """diag(1, -1, ...): entry-built and not PSD, so both walks need the nulls."""
+    return DecoherenceMatrix(_space(n), [[(-1) ** i if i == j else 0 for j in range(n)]
+                                         for i in range(n)])
+
+
+def _null_count(k):
+    """Amplitudes 1, -1, ..., -1: the empty event and each {h0, hj} are null, k in all."""
+    return DecoherenceMatrix.from_amplitudes(_space(k), [1] + [-1] * (k - 1))
+
+
+def _transversals(k):
+    """Precluding {h0} of k + 1 histories leaves k minimal transversals, the other singletons."""
+    space = _space(k + 1)
+    return PreclusionSet(space, [space.atom('h0')])
+
+
+# Every size guard: (module, constant, value patched in where the real limit
+# is costly to reach or None, is the limit 2^constant?, the guarded call at a
+# size as (function, *arguments) built outside the timed region, the message).
+GUARD_SITES = {
+    'space': (events, 'SPACE_GUARD', None, False,
+              lambda k: (SampleSpace, [f'h{i}' for i in range(k)]),
+              'sample space: {size} histories, past SPACE_GUARD = {limit}'),
+    'table': (coevent, 'TRUTH_TABLE_GUARD', None, False,
+              lambda k: (Coevent._from_table, _space(k), 0),
+              'truth table: {size} histories, past TRUTH_TABLE_GUARD = {limit}'),
+    'truth-table': (coevent, 'TRUTH_TABLE_GUARD', 4, False,
+                    lambda k: (Coevent.from_truth_table, _space(k), lambda ev: 0),
+                    'truth table: {size} histories, past TRUTH_TABLE_GUARD = {limit}'),
+    'preclusions': (measure, 'MEASURE_GUARD', 4, False,
+                    lambda k: (DecoherenceMatrix.preclusions, _indefinite(k)),
+                    'preclusion derivation: {size} histories, past MEASURE_GUARD = {limit} '
+                    '(2^{size} = {events} events)'),
+    'absorption': (measure, 'MEASURE_GUARD', 4, False,
+                   lambda k: (DecoherenceMatrix.null_absorption_holds, _indefinite(k)),
+                   'null-absorption check: {size} histories, past MEASURE_GUARD = {limit} '
+                   '(2^{size} = {events} events)'),
+    'amplitude-nulls': (measure, 'MEASURE_GUARD', 4, True,
+                        lambda k: (DecoherenceMatrix.preclusions, _null_count(k)),
+                        'preclusion derivation: {size} null events, '
+                        'past 2^MEASURE_GUARD = {limit}'),
+    'transversals': (schemes, 'MEASURE_GUARD', 4, True,
+                     lambda k: (multiplicative_scheme, _transversals(k)),
+                     'multiplicative scheme: {size} minimal transversals, '
+                     'past 2^MEASURE_GUARD = {limit}'),
+    'nullity': (schemes, 'NULLSPACE_GUARD', None, False,
+                lambda k: (linear_scheme, _free(k)),
+                'linear scheme: nullspace dimension {size}, past NULLSPACE_GUARD = {limit}'),
+    'ideal': (schemes, 'IDEAL_SEARCH_GUARD', None, False,
+              lambda k: (ideal_scheme, _free(k)),
+              'ideal search: {size} histories, past IDEAL_SEARCH_GUARD = {limit}'),
+    'enumeration': (oracle, 'ENUMERATION_GUARD', None, False,
+                    lambda k: (lambda space: next(oracle.enumerate_coevents(space)), _space(k)),
+                    'oracle: {size} histories, past ENUMERATION_GUARD = {limit}'),
+    'brute-multiplicative': (oracle, 'ENUMERATION_GUARD', None, False,
+                             lambda k: (oracle.brute_multiplicative, _free(k)),
+                             'oracle: {size} histories, past ENUMERATION_GUARD = {limit}'),
+    'brute-linear': (oracle, 'ENUMERATION_GUARD', None, False,
+                     lambda k: (oracle.brute_linear, _free(k)),
+                     'oracle: {size} histories, past ENUMERATION_GUARD = {limit}'),
+    'closure': (oracle, 'CLOSURE_GUARD', None, False,
+                lambda k: (oracle.brute_ideal_closure, _space(k), []),
+                'oracle: {size} histories, past CLOSURE_GUARD = {limit}'),
+    'min-cover': (oracle, 'CLOSURE_GUARD', None, False,
+                  lambda k: (oracle.brute_min_cover, _free(k)),
+                  'oracle: {size} histories, past CLOSURE_GUARD = {limit}'),
+}
+
+
+@pytest.mark.parametrize('site', list(GUARD_SITES))
+def test_guard_trips_at_limit_plus_one(site, monkeypatch):
+    module, constant, patched, power, call_at, message = GUARD_SITES[site]
+    if patched is not None:
+        monkeypatch.setattr(module, constant, patched)
+    limit = getattr(module, constant)
+    if power:
+        limit = 1 << limit
+    function, *arguments = call_at(limit)
+    function(*arguments)  # at the limit: allowed
+    function, *arguments = call_at(limit + 1)
+    start = time.perf_counter()
+    with pytest.raises(GuardError) as excinfo:
+        function(*arguments)
+    assert time.perf_counter() - start < 0.05  # refused before the work
+    assert str(excinfo.value) == message.format(size=limit + 1, limit=limit,
+                                                events=1 << limit + 1)
 
 
 def test_space_structural_equality(abc):

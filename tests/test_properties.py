@@ -2,10 +2,11 @@
 
 Round trips: parsing a rendered value gives the value back, for events,
 coevents, complex numbers and scenario text over random spaces of up to 10
-histories.  The command line never crashes on scenario text one character
-away from a valid one.  The multiplicative and linear answers on random
-explicit preclusion sets at n <= 8 match their definitions, checked by
-direct set operations over all 2^n subsets.  Runs are derandomized and keep
+histories.  The command line never crashes, and answers within seconds, on
+scenario text one character away from a valid one.  The multiplicative and
+linear answers on random explicit preclusion sets at n <= 8, and the ideal
+answers at n = 4 (past the oracle's n <= 3), match their definitions,
+checked by direct set operations over all 2^n subsets.  Runs are derandomized and keep
 no example database, so the suite stays deterministic; conftest.py keeps
 Hypothesis's other caches out of the working tree.
 """
@@ -13,6 +14,7 @@ Hypothesis's other caches out of the working tree.
 import contextlib
 import io
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,8 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coevents import (Coevent, Event, GaussianRational, PreclusionSet,
-                      SampleSpace, linear_scheme, multiplicative_scheme,
-                      parse_coevent, parse_complex, parse_event, parse_scenario,
+                      SampleSpace, ideal_scheme, linear_scheme,
+                      multiplicative_scheme, parse_coevent, parse_complex, parse_event, parse_scenario,
                       render_coevent, render_complex, render_event,
                       render_scenario)
 from coevents.cli import main
@@ -124,7 +126,9 @@ def test_scenario_round_trip(text):
 # characters with grammar meaning in scenario text, plus the separators
 GRAMMAR_CHARS = '{}*+#=/i \n'
 COMMANDS = (['preclusions'], ['solve', '--scheme', 'multiplicative'],
-            ['solve', '--scheme', 'linear'])
+            ['solve', '--scheme', 'linear'], ['solve', '--scheme', 'ideal'],
+            ['infer', '--scheme', 'multiplicative', '--query', '{}'],
+            ['infer', '--scheme', 'linear', '--query', '{}'])
 DIAGNOSTIC = re.compile(r'^(\d+:\d+: )?error: ')
 
 
@@ -140,14 +144,16 @@ def mutated_scenario_texts(draw):
     return text[:at] + char + text[at + (edit != 'insert'):]
 
 
-@deterministic
+@settings(deterministic, max_examples=100)  # six commands share the examples
 @given(mutated_scenario_texts(), st.sampled_from(COMMANDS))
 def test_cli_survives_one_character_edits(tmp_path_factory, text, command):
     path = tmp_path_factory.getbasetemp() / 'mutated.scenario'
     path.write_text(text, encoding='utf-8')
     out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command[0], str(path), *command[1:]])
+    assert time.perf_counter() - start < 3  # a guard refuses what would run long
     assert code in (0, 1, 2)
     assert 'Traceback' not in err.getvalue()
     if code == 2:
@@ -208,3 +214,35 @@ def test_scheme_answers_meet_their_definitions(preclusions):
         assert not any(t in solutions for t in submasks(s))  # support-minimal
         found.add(s)
     assert found == supports  # complete
+
+
+def truth(phi, event):
+    """φ(A): the parity of the monomials F of φ with F ⊆ A."""
+    return sum(1 for f in phi.masks if not f & ~event) % 2
+
+
+@deterministic
+@given(st.lists(st.integers(0, 15), max_size=10))
+def test_ideal_answers_meet_their_definitions(masks):
+    space = SampleSpace('abcd')
+    preclusions = PreclusionSet(space, [Event(space, m) for m in masks])
+    precluded = preclusions.masks
+    universe = {a for a in range(16) if a not in precluded}
+    result = ideal_scheme(preclusions)
+    if not universe:
+        assert (result.generating_sets, result.coevents) == ((), ())
+        return
+    assert result.generating_sets
+    members = set()
+    for generating_set in result.generating_sets:
+        # every member is false on every precluded event, and the members'
+        # true sets jointly cover every other event
+        assert all(truth(phi, z) == 0 for phi in generating_set for z in precluded)
+        assert all(any(truth(phi, a) for phi in generating_set) for a in universe)
+        complexity = sum(f.bit_count() for phi in generating_set for f in phi.masks)
+        assert complexity == result.total_complexity
+        members.update(generating_set)
+    unital = {phi for phi in members if truth(phi, space.full.bits)}
+    assert len(result.coevents) == len(unital) and set(result.coevents) == unital
+    uncovered = {a for a in universe if not any(truth(phi, a) for phi in unital)}
+    assert {ev.bits for ev in result.uncovered_by_unital} == uncovered
