@@ -34,6 +34,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -215,10 +216,13 @@ class DecoherenceMatrix:
         return f'DecoherenceMatrix({self.space!r}, {self.space.size}x{self.space.size})'
 
     def measure(self, event: Event) -> Fraction:
-        """μ(A), exact; zero means precluded.  D is Hermitian, so only real parts count."""
+        """μ(A), exact; zero means precluded.  D is Hermitian, so only real parts
+        count, and Re D is symmetric, so each unordered pair is added once:
+        μ(A) = Σ_{i∈A} Re D_ii + 2·Σ_{i<j∈A} Re D_ij."""
         members = tuple(bit_indices(_member_bits(self.space, event, 'event')))
         rows = self.entries
-        return sum((rows[i][j].re for i in members for j in members), Fraction(0))
+        pairs = sum((rows[i][j].re for i, j in combinations(members, 2)), Fraction(0))
+        return sum((rows[i][i].re for i in members), 2 * pairs)
 
     def _guard(self, work: str) -> None:
         n = self.space.size
@@ -229,7 +233,8 @@ class DecoherenceMatrix:
 
         From amplitudes, μ(A) = Σ_b |Σ_{γ∈A∩b} α_γ|²: each block's halves
         list their subset sums, joined on the negated sum, Σ_b 2^⌈|b|/2⌉
-        integer sums plus the output.  Otherwise O(n²·2^n) pair terms.
+        integer sums plus the output.  Otherwise n(n+3)·2^(n-3) terms, each
+        unordered pair once (39,424 at n = 11).
         """
         if self._preclusions is None:
             if self._blocks is None:

@@ -70,9 +70,10 @@ from itertools import product
 from math import prod
 from typing import Iterable, Mapping
 
+from . import measure
 from .coevent import Coevent, _anf, _lacking, monomial
 from .events import Event, _check_guard, bit_indices
-from .measure import MEASURE_GUARD, PreclusionSet
+from .measure import PreclusionSet
 
 __all__ = [
     'ALWAYS_FALSE',
@@ -174,7 +175,7 @@ def multiplicative_scheme(preclusions: PreclusionSet) -> SchemeResult:
         for v in bit_indices(edge):
             occurs[v] |= 1 << k
     transversals: list[int] = []
-    nodes = 0
+    nodes, cap = 0, 1 << measure.MEASURE_GUARD
 
     def search(chosen: int, cand: int, uncovered: int,
                crit: dict[int, int]) -> None:
@@ -183,8 +184,8 @@ def multiplicative_scheme(preclusions: PreclusionSet) -> SchemeResult:
         nodes += 1
         if not uncovered:
             transversals.append(chosen)
-            _check_guard('multiplicative scheme', len(transversals), '2^MEASURE_GUARD',
-                         1 << MEASURE_GUARD, '{} minimal transversals')
+            _check_guard('multiplicative scheme', len(transversals), '2^MEASURE_GUARD', cap,
+                         '{} minimal transversals')
             return
         branch = min((edges[k] & cand for k in bit_indices(uncovered)),
                      key=int.bit_count)

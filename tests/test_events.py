@@ -91,7 +91,7 @@ GUARD_SITES = {
                         lambda k: (DecoherenceMatrix.preclusions, _null_count(k)),
                         'preclusion derivation: {size} null events, '
                         'past 2^MEASURE_GUARD = {limit}'),
-    'transversals': (schemes, 'MEASURE_GUARD', 4, True,
+    'transversals': (measure, 'MEASURE_GUARD', 4, True,
                      lambda k: (multiplicative_scheme, _transversals(k)),
                      'multiplicative scheme: {size} minimal transversals, '
                      'past 2^MEASURE_GUARD = {limit}'),

@@ -660,6 +660,8 @@ def test_elimination_and_row_sums_match_the_exhaustive_references():
         mu = reference_measures(d)
         assert d.preclusions().masks == {bits for bits, value in mu.items() if value == 0}, \
             (kind, d.entries)
+        for bits, value in mu.items():
+            assert d.measure(Event(d.space, bits)) == value, (kind, d.entries, bits)
         psd = d.is_strongly_positive()
         absorbs = d.null_absorption_holds()
         assert psd == minors_strongly_positive(d), (kind, d.entries)
@@ -763,18 +765,34 @@ def test_amplitude_entries_are_outer_products():
     assert checked >= 20  # complex amplitudes, so the conjugate's sign shows
 
 
+class MeasuredMatrix(DecoherenceMatrix):
+    """An entry-built matrix that keeps μ of every event it measures, by mask,
+    so one walk in `preclusions` also yields the value of every event."""
+
+    __slots__ = ('measured',)
+
+    def __init__(self, space, entries):
+        super().__init__(space, entries)
+        self.measured = {}
+
+    def measure(self, event):
+        self.measured[event.bits] = value = super().measure(event)
+        return value
+
+
 def test_amplitude_preclusions_match_the_per_event_walk():
     kinds = dict.fromkeys(['several blocks', 'single-history block', 'zero amplitude',
                            'all-zero block', 'mixed denominators', 'complex',
                            'cancellation'], 0)
     sizes = set()
     for amps, members, d in amplitude_corpus():
-        twin = DecoherenceMatrix(d.space, d.entries)
+        twin = MeasuredMatrix(d.space, d.entries)
         assert d == twin and hash(d) == hash(twin)
         mu = reference_measures(d)
         expected = {bits for bits, value in mu.items() if value == 0}
         assert d.preclusions().masks == expected, (amps, members)
         assert twin.preclusions().masks == expected, (amps, members)
+        assert twin.measured == mu, (amps, members)  # every event, every value
         for kind in _amplitude_kinds(amps, members, expected):
             kinds[kind] += 1
         sizes.add(d.space.size)
