@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import coevents
-from coevents import DecoherenceMatrix, PreclusionSet, load_bundled
+from coevents import DecoherenceMatrix, PreclusionSet, SchemeResult, load_bundled
+from coevents import cli
 from coevents.cli import main
 
 try:
@@ -138,6 +139,29 @@ def test_check_oracle_guard_skip(capsys):
     code, out, _ = run(capsys, 'check', 'two_slit', '--oracle')
     assert code == 0
     assert 'oracle ideal: skipped (n=4 exceeds guard 3)' in out
+
+
+def _admit_nothing(preclusions):
+    return SchemeResult(scheme='broken', coevents=())
+
+
+def test_check_classical_limit_failure_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, 'multiplicative_scheme', _admit_nothing)
+    f = tmp_path / 'scn'
+    f.write_text('histories a b c\nprecluded {a}\nprecluded {b}\nprecluded {a b}\n')
+    code, out, _ = run(capsys, 'check', str(f), '--classical')
+    assert code == 1
+    assert out == ('classical preclusion set: yes\nclassical limit: FAIL '
+                   '(multiplicative scheme is not the classical atom coevents)\n')
+
+
+@pytest.mark.parametrize('scheme', ['multiplicative', 'linear', 'ideal'])
+def test_check_oracle_failure_exits_1(capsys, monkeypatch, scheme):
+    monkeypatch.setattr(cli, f'{scheme}_scheme', _admit_nothing)
+    code, out, _ = run(capsys, 'check', 'three_slit', '--oracle')
+    assert code == 1
+    assert out == ''.join(f'oracle {name}: {"FAIL" if name == scheme else "PASS"}\n'
+                          for name in ('multiplicative', 'linear', 'ideal'))
 
 
 @pytest.mark.parametrize('argv', [
