@@ -69,31 +69,32 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog='coevents',
                      description='Solve anhomomorphic coevent schemes for '
                                  'finite quantal-measure scenarios.')
-    sub = parser.add_subparsers(dest='command', required=True, metavar='COMMAND')
+    sub = parser.add_subparsers(required=True, metavar='COMMAND')
 
-    def command(name: str, help_text: str) -> argparse.ArgumentParser:
+    def command(name: str, help_text: str, run) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument('scenario',
                        help='scenario file path, or a bundled scenario name')
+        p.set_defaults(run=run)
         return p
 
-    p = command('solve', 'solve one coevent scheme and print the results')
+    p = command('solve', 'solve one coevent scheme and print the results', _cmd_solve)
     p.add_argument('--scheme', required=True, choices=_SCHEMES)
     p.add_argument('--format', choices=('text', 'json'), default='text')
 
-    command('preclusions', 'print the precluded events, one per line')
+    command('preclusions', 'print the precluded events, one per line', _cmd_preclusions)
 
-    p = command('eval', 'evaluate a coevent polynomial on an event')
+    p = command('eval', 'evaluate a coevent polynomial on an event', _cmd_eval)
     p.add_argument('--coevent', required=True, metavar='POLY')
     p.add_argument('--event', required=True, metavar='EVENT')
 
-    p = command('infer', 'ask what the admissible coevents say about an event')
+    p = command('infer', 'ask what the admissible coevents say about an event', _cmd_infer)
     p.add_argument('--scheme', required=True, choices=_SCHEMES)
     p.add_argument('--given', action='append', default=[], metavar='EVENT=BIT',
                    help='condition on an event taking value 0 or 1; repeatable')
     p.add_argument('--query', required=True, metavar='EVENT')
 
-    p = command('check', 'verify measure and solver health properties')
+    p = command('check', 'verify measure and solver health properties', _cmd_check)
     p.add_argument('--strong-positivity', action='store_true',
                    help='only the positivity and absorption checks')
     p.add_argument('--classical', action='store_true',
@@ -152,24 +153,26 @@ def _cmd_infer(scenario, args) -> int:
     return 0
 
 
+def _verdict(lines: list[str], name: str, passed: bool | None, why: str = '') -> bool:
+    """Append ``<name>: PASS``, ``FAIL<why>`` or (passed None) ``skipped<why>``; False on FAIL."""
+    if passed:
+        lines.append(f'{name}: PASS')
+    else:
+        lines.append(f'{name}: {"FAIL" if passed is False else "skipped"}{why}')
+    return passed is not False
+
+
 def _check_positivity(scenario, lines: list[str]) -> bool:
     matrix = scenario.decoherence_matrix()
     if matrix is None:
-        lines.append('strong positivity: skipped (no decoherence matrix)')
-        lines.append('null-set absorption: skipped (no decoherence matrix)')
+        for name in ('strong positivity', 'null-set absorption'):
+            _verdict(lines, name, None, ' (no decoherence matrix)')
         return True
-    ok = True
-    if matrix.is_strongly_positive():
-        lines.append('strong positivity: PASS')
-    else:
-        lines.append('strong positivity: FAIL (a principal minor is negative)')
-        ok = False
-    if matrix.null_absorption_holds():
-        lines.append('null-set absorption: PASS')
-    else:
-        lines.append('null-set absorption: FAIL (some mu(A+N) differs from mu(A))')
-        ok = False
-    return ok
+    positive = _verdict(lines, 'strong positivity', matrix.is_strongly_positive(),
+                        ' (a principal minor is negative)')
+    absorbs = _verdict(lines, 'null-set absorption', matrix.null_absorption_holds(),
+                       ' (some mu(A+N) differs from mu(A))')
+    return positive and absorbs
 
 
 def _check_classical(scenario, lines: list[str]) -> bool:
@@ -178,47 +181,31 @@ def _check_classical(scenario, lines: list[str]) -> bool:
         lines.append('classical preclusion set: no')
         return True
     lines.append('classical preclusion set: yes')
-    expected = {frozenset({atom.bits})
-                for atom in scenario.space.atoms()
+    expected = {frozenset({atom.bits}) for atom in scenario.space.atoms()
                 if atom not in preclusions}
     got = {phi.masks for phi in multiplicative_scheme(preclusions).coevents}
-    if got == expected:
-        lines.append('classical limit: PASS')
-        return True
-    lines.append('classical limit: FAIL (multiplicative scheme is not the '
-                 'classical atom coevents)')
-    return False
+    return _verdict(lines, 'classical limit', got == expected,
+                    ' (multiplicative scheme is not the classical atom coevents)')
 
 
 def _check_oracle(scenario, lines: list[str]) -> bool:
     preclusions = scenario.preclusion_set()
-    space = scenario.space
-    n = space.size
+    n = scenario.space.size
     ok = True
-
-    for name, solve, brute in (
-            ('multiplicative', multiplicative_scheme, oracle.brute_multiplicative),
-            ('linear', linear_scheme, oracle.brute_linear)):
-        if n > oracle.ENUMERATION_GUARD:
-            lines.append(f'oracle {name}: skipped (n={n} exceeds guard '
-                         f'{oracle.ENUMERATION_GUARD})')
-        elif set(solve(preclusions).coevents) == set(brute(preclusions)):
-            lines.append(f'oracle {name}: PASS')
+    for name, guard, solve, brute in (
+            ('multiplicative', oracle.ENUMERATION_GUARD, multiplicative_scheme,
+             oracle.brute_multiplicative),
+            ('linear', oracle.ENUMERATION_GUARD, linear_scheme, oracle.brute_linear),
+            ('ideal', oracle.CLOSURE_GUARD, ideal_scheme, oracle.brute_min_cover)):
+        if n > guard:
+            _verdict(lines, f'oracle {name}', None, f' (n={n} exceeds guard {guard})')
+            continue
+        result, expected = solve(preclusions), brute(preclusions)
+        if name == 'ideal':  # every minimum generating set, and that minimum
+            passed = (result.generating_sets, result.total_complexity) == expected
         else:
-            lines.append(f'oracle {name}: FAIL')
-            ok = False
-
-    if n > oracle.CLOSURE_GUARD:
-        lines.append(f'oracle ideal: skipped (n={n} exceeds guard '
-                     f'{oracle.CLOSURE_GUARD})')
-    else:
-        result = ideal_scheme(preclusions)
-        sets, weight = oracle.brute_min_cover(preclusions)
-        if result.generating_sets == sets and result.total_complexity == weight:
-            lines.append('oracle ideal: PASS')
-        else:
-            lines.append('oracle ideal: FAIL')
-            ok = False
+            passed = set(result.coevents) == set(expected)
+        ok &= _verdict(lines, f'oracle {name}', passed)
     return ok
 
 
@@ -236,15 +223,6 @@ def _cmd_check(scenario, args) -> int:
     return 0 if ok else 1
 
 
-_DISPATCH = {
-    'solve': _cmd_solve,
-    'preclusions': _cmd_preclusions,
-    'eval': _cmd_eval,
-    'infer': _cmd_infer,
-    'check': _cmd_check,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -252,7 +230,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         scenario = parse_scenario(_scenario_text(args.scenario))
-        return _DISPATCH[args.command](scenario, args)
+        return args.run(scenario, args)
     except ScenarioError as exc:
         for diagnostic in exc.diagnostics:
             print(diagnostic, file=sys.stderr)

@@ -215,15 +215,14 @@ def _parse_histories(lineno, line, tokens, diags) -> SampleSpace | None:
     if not labels:
         _report(diags, lineno, _columns(line)[0], _DIRECTIVES['histories'][1])
         return None
-    reported = len(diags)
-    for k, problem in _label_problems(labels):  # '#' was cut with the comment
-        _report(diags, lineno, _columns(line)[k + 1], problem)
-    if len(diags) > reported:
-        return None
     try:
         return SampleSpace(labels)
-    except ValueError as exc:  # the size guard
-        _report(diags, lineno, _columns(line)[0], str(exc))
+    except ValueError as exc:  # label problems, each at its column; else the size guard
+        reported = len(diags)
+        for k, problem in _label_problems(labels):  # '#' was cut with the comment
+            _report(diags, lineno, _columns(line)[k + 1], problem)
+        if len(diags) == reported:
+            _report(diags, lineno, _columns(line)[0], str(exc))
         return None
 
 
@@ -237,10 +236,10 @@ def _resolve_amplitudes(space, amp_lines, block_lines, diags):
         except ParseError as exc:
             _report(diags, lineno, _columns(line)[1], exc)
             continue
-        given |= bit
-        if bit in values:
+        if given & bit:  # a second line for the history, whether or not the first parsed
             _report(diags, lineno, _columns(line)[1], f'duplicate amplitude for {label!r}')
             continue
+        given |= bit
         try:
             values[bit] = parse_complex(number)
         except ParseError as exc:

@@ -72,7 +72,7 @@ from typing import Iterable, Mapping
 
 from . import measure
 from .coevent import Coevent, _anf, _lacking, monomial
-from .events import Event, _check_guard, bit_indices
+from .events import Event, _check_guard, bit_indices, canonical_key
 from .measure import PreclusionSet
 
 __all__ = [
@@ -450,8 +450,7 @@ def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
 
     uncovered = universe & ~covered_by_unital
     uncovered_events = tuple(
-        Event(space, a) for a in sorted(bit_indices(uncovered),
-                                        key=lambda m: (m.bit_count(), m)))
+        Event(space, a) for a in sorted(bit_indices(uncovered), key=canonical_key))
 
     return SchemeResult(
         scheme='ideal',

@@ -146,6 +146,18 @@ class TestDiagnostics:
             assert [str(d) for d in diags] == [
                 f"1:13: error: history label 'b{char}c' contains a reserved character"]
 
+    def test_labels_checked_once(self, monkeypatch):
+        calls = []
+        check = coevents.events._label_problems
+
+        def counting(labels):
+            calls.append(labels)
+            return check(labels)
+        monkeypatch.setattr(coevents.events, '_label_problems', counting)
+        monkeypatch.setattr(coevents.scenario, '_label_problems', counting)
+        parse_scenario('histories a b\nprecluded {a}\n')
+        assert len(calls) == 1
+
     def test_hash_in_label_starts_a_comment(self):
         assert parse_scenario('histories a b#c\nprecluded {a}\n').space.names == ('a', 'b')
 
@@ -168,6 +180,12 @@ class TestDiagnostics:
     def test_duplicate_amplitude(self):
         text = 'histories a b\namplitude a 1\namplitude a 2\namplitude b 1\n'
         assert (3, 11) in positions(text)
+
+    def test_duplicate_after_malformed_amplitude(self):
+        # a second line for a history is a duplicate whether or not the first parsed
+        diags = diagnostics_of('histories a b\namplitude a 1/0\namplitude a 1\namplitude b 1\n')
+        assert [str(d) for d in diags] == ['2:15: error: zero denominator',
+                                           "3:11: error: duplicate amplitude for 'a'"]
 
     def test_missing_amplitude(self):
         diags = diagnostics_of('histories a b\namplitude a 1\n')
@@ -287,7 +305,7 @@ class TestMutationCorpus:
               'frobnicate', '#', '', 'a', 'b', 'c', 'p', 'q', 'x', 'y', 'g1', 'b*c',
               '0', '1', '-1', '1/2', '1/0', '2i', '1.5', '3/2-1/2i', '1/2+1/2i',
               '{a}', '{a q}', '{}', 'a+b', 'a+', '{a', '}')
-    DIGEST = '1d863e9d9ba3e3d65e5b29dee99d7095f8f6a01148dad0489a4d9d5560825acb'
+    DIGEST = 'fa8af1c3cdea456a5ad3928d166aaa4c46210b1416710192af9e7b8dab64e07a'
 
     @staticmethod
     def mutate(rng, text):
