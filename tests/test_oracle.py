@@ -5,9 +5,12 @@ so these tests exercise a code path that shares nothing with the solvers
 beyond the Coevent type.
 """
 
+import hashlib
+import random
+
 import pytest
 
-from coevents import GuardError, SampleSpace, ideal_generator, ideal_scheme
+from coevents import Event, GuardError, SampleSpace, ideal_generator, ideal_scheme
 from coevents import oracle
 from coevents.measure import PreclusionSet
 
@@ -109,3 +112,39 @@ def test_brute_min_cover_empty_universe():
     p = PreclusionSet.explicit(space, list(space.events()))
     sets, weight = oracle.brute_min_cover(p)
     assert sets == () and weight is None
+
+
+ORACLE_ANSWER_DIGEST = 'ff18fbaa41d24d6d2c9b279dc345f2736ea9915caa9b550521655c684e54b556'
+
+
+def _oracle_corpus():
+    """Seeded preclusion sets: 30 at n = 1-3, 6 at n = 4 with three
+    precluded events, and at n = 2 nothing but {} and everything."""
+    rng = random.Random(2202)
+    corpus = []
+    for i in range(30):
+        space = SampleSpace('abc'[:i % 3 + 1])
+        density = rng.choice((0.1, 0.3, 0.5, 0.7))
+        masks = [m for m in range(1 << space.size) if rng.random() < density]
+        corpus.append(PreclusionSet.explicit(space, [Event(space, m) for m in masks]))
+    space = SampleSpace('abcd')
+    for _ in range(6):
+        masks = rng.sample(range(1, 16), 3)
+        corpus.append(PreclusionSet.explicit(space, [Event(space, m) for m in masks]))
+    space = SampleSpace('ab')
+    corpus.append(PreclusionSet.explicit(space, []))
+    corpus.append(PreclusionSet.explicit(space, list(space.events())))
+    return corpus
+
+
+def test_oracle_answers_pinned():
+    digest = hashlib.sha256()
+    for p in _oracle_corpus():
+        digest.update(f'{p!r}\n'.encode())
+        for solve in (oracle.brute_multiplicative, oracle.brute_linear):
+            digest.update((' '.join(map(str, solve(p))) + '\n').encode())
+        if p.space.size <= oracle.CLOSURE_GUARD:
+            sets, weight = oracle.brute_min_cover(p)
+            rendered = ' | '.join(' '.join(map(str, s)) for s in sets)
+            digest.update(f'{rendered} ; {weight}\n'.encode())
+    assert digest.hexdigest() == ORACLE_ANSWER_DIGEST
