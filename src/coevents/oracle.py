@@ -1,15 +1,17 @@
 """Brute-force reference solvers over the full coevent space.
 
 Everything here works on raw truth tables: 2^n-bit integers with one bit
-per event, bit position equal to the event's bitmask.  Definitions are
-checked by direct enumeration: predicates pairwise over all event pairs,
-polynomial coefficients by independent subset-parity sums rather than the
-fast in-place transform, minimality by pairwise comparison, and minimum
-cover by a weight-budgeted exhaustive search.  The fast transform only
-turns answers into :class:`~coevents.coevent.Coevent` objects, and
-`table_of` inverts it from the definition.  The solvers in
-:mod:`coevents.schemes` share only the Coevent type with this module,
-never its algorithms, so agreement between the two is meaningful evidence.
+per event, bit position equal to the event's bitmask.  Each scheme's
+reference walks only the preclusive tables (each submask of the
+non-precluded events once) and filters them by direct checks of its
+definition: predicates pairwise over all event pairs, polynomial
+coefficients by independent subset-parity sums rather than the fast
+in-place transform, minimality by pairwise comparison, and minimum cover
+by a weight-budgeted exhaustive search.  The fast transform only turns
+answers into :class:`~coevents.coevent.Coevent` objects, and `table_of`
+inverts it from the definition.  The solvers in :mod:`coevents.schemes`
+share only the Coevent type with this module, never its algorithms, so
+agreement between the two is meaningful evidence.
 
 Guards are hard errors: ``ENUMERATION_GUARD`` = 4 histories (2^16 truth
 tables) for full enumeration, ``CLOSURE_GUARD`` = 3 for closure and cover.
@@ -112,11 +114,19 @@ def _anf_weight(table: int, n_events: int) -> int:
     return weight
 
 
-def _preclusion_table_mask(preclusions: PreclusionSet) -> int:
-    mask = 0
+def _preclusive_tables(preclusions: PreclusionSet, name: str, limit: int) -> Iterator[int]:
+    # the tables zero on every precluded event: each submask of the
+    # non-precluded events once, from all of them down to 0, after the guard
+    _check_guard('oracle', preclusions.space.size, name, limit)
+    allowed = (1 << (1 << preclusions.space.size)) - 1
     for z in preclusions.masks:
-        mask |= 1 << z
-    return mask
+        allowed &= ~(1 << z)
+    table = allowed
+    while True:
+        yield table
+        if not table:
+            return
+        table = (table - 1) & allowed
 
 
 def _sorted_coevents(space: SampleSpace, tables: Iterable[int]) -> tuple[Coevent, ...]:
@@ -126,45 +136,30 @@ def _sorted_coevents(space: SampleSpace, tables: Iterable[int]) -> tuple[Coevent
 def brute_multiplicative(preclusions: PreclusionSet) -> tuple[Coevent, ...]:
     """Reference answer for the multiplicative scheme.
 
-    Filters every truth table for: not constant, multiplicative by the
-    pairwise check, preclusive, and minimal in the sense that no other
-    survivor's true set strictly contains its true set (for filters,
-    larger true set means smaller monomial).
+    Filters the preclusive truth tables (never the constant 1: {} is
+    always precluded) for: nonzero, multiplicative by the pairwise check,
+    and minimal: no other survivor's true set strictly contains its true
+    set (for filters, larger true set means smaller monomial).
     """
-    space = preclusions.space
-    _check_guard('oracle', space.size, 'ENUMERATION_GUARD', ENUMERATION_GUARD)
-    n_events = 1 << space.size
-    all_ones = (1 << n_events) - 1
-    pmask = _preclusion_table_mask(preclusions)
-    survivors = []
-    for table in range(1 << n_events):
-        if table == 0 or table == all_ones:
-            continue
-        if table & pmask:
-            continue
-        if pairwise_multiplicative(table, n_events):
-            survivors.append(table)
+    n_events = 1 << preclusions.space.size
+    tables = _preclusive_tables(preclusions, 'ENUMERATION_GUARD', ENUMERATION_GUARD)
+    survivors = [t for t in tables if t and pairwise_multiplicative(t, n_events)]
     minimal = [t for t in survivors
                if not any(o != t and o | t == o for o in survivors)]
-    return _sorted_coevents(space, minimal)
+    return _sorted_coevents(preclusions.space, minimal)
 
 
 def brute_linear(preclusions: PreclusionSet) -> tuple[Coevent, ...]:
     """Reference answer for the linear scheme.
 
-    Filters every truth table for: nonzero, linear by the pairwise check,
-    preclusive, support-minimal among those, and finally unital.
+    Filters the preclusive truth tables for: nonzero, linear by the
+    pairwise check, support-minimal among those, and finally unital.
     """
-    space = preclusions.space
-    _check_guard('oracle', space.size, 'ENUMERATION_GUARD', ENUMERATION_GUARD)
-    n = space.size
+    n = preclusions.space.size
     n_events = 1 << n
-    pmask = _preclusion_table_mask(preclusions)
     survivors = []
-    for table in range(1 << n_events):
-        if table == 0 or table & pmask:
-            continue
-        if pairwise_linear(table, n_events):
+    for table in _preclusive_tables(preclusions, 'ENUMERATION_GUARD', ENUMERATION_GUARD):
+        if table and pairwise_linear(table, n_events):
             support = 0
             for i in range(n):
                 support |= (table >> (1 << i) & 1) << i
@@ -172,7 +167,7 @@ def brute_linear(preclusions: PreclusionSet) -> tuple[Coevent, ...]:
     minimal = [(t, s) for t, s in survivors
                if not any(o != s and o & s == o for _, o in survivors)]
     unital = [t for t, _ in minimal if t >> (n_events - 1) & 1]
-    return _sorted_coevents(space, unital)
+    return _sorted_coevents(preclusions.space, unital)
 
 
 def brute_ideal_closure(space: SampleSpace,
@@ -208,27 +203,19 @@ def brute_ideal_closure(space: SampleSpace,
 def brute_min_cover(preclusions: PreclusionSet) -> tuple[tuple[tuple[Coevent, ...], ...], int | None]:
     """Reference answer for the ideal scheme.
 
-    Exhaustively searches sets of preclusive coevents whose true sets
-    jointly cover the non-precluded events, by increasing weight budget,
-    and returns (all minimum-weight sets, minimum weight).  When every
-    event is precluded there is nothing to cover and the result is
-    ((), None): infeasible.
+    Exhaustively searches sets of nonzero preclusive truth tables whose
+    true sets jointly cover the non-precluded events (the first, largest
+    preclusive table), by increasing weight budget, and returns (all
+    minimum-weight sets, minimum weight).  When every event is precluded
+    there is nothing to cover and the result is ((), None): infeasible.
     """
     space = preclusions.space
-    _check_guard('oracle', space.size, 'CLOSURE_GUARD', CLOSURE_GUARD)
-    n_events = 1 << space.size
-    all_ones = (1 << n_events) - 1
-    pmask = _preclusion_table_mask(preclusions)
-    universe = all_ones & ~pmask
+    tables = list(_preclusive_tables(preclusions, 'CLOSURE_GUARD', CLOSURE_GUARD))
+    universe = tables[0]
     if universe == 0:
         return ((), None)
-
-    candidates = []
-    for table in range(1, 1 << n_events):
-        if table & pmask:
-            continue
-        candidates.append((_anf_weight(table, n_events), table))
-    candidates.sort()
+    n_events = 1 << space.size
+    candidates = sorted((_anf_weight(t, n_events), t) for t in tables if t)
 
     by_element: dict[int, list[tuple[int, int]]] = {}
     for e in range(n_events):

@@ -1,8 +1,11 @@
 """Exit codes, output bytes, and error reporting of the command line."""
 
+import doctest
 import itertools
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -441,3 +444,16 @@ def test_module_invocation():
         capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     assert proc.stdout == '{}\n{a c}\n{b c}\n'
+
+
+def test_readme_examples_and_package_doctest(capsys):
+    # each `$ coevents ...` example under README's "Command line", its
+    # continuation lines joined, against the output shown below it
+    readme = (PYPROJECT.parent / 'README.md').read_text(encoding='utf-8')
+    section = readme.split('\n## Command line\n')[1].split('\n## ')[0]
+    examples = re.findall(r'^\$ coevents ((?:.*\\\n)*.*)\n((?:(?!```).+\n)*)', section, re.M)
+    assert len(examples) == 4
+    for command, shown in examples:
+        assert run(capsys, *shlex.split(command.replace('\\\n', ' '))) == (0, shown, '')
+    result = doctest.testmod(coevents)
+    assert result.failed == 0 and result.attempted > 0

@@ -141,6 +141,13 @@ def test_oracle_answers_pinned():
     digest = hashlib.sha256()
     for p in _oracle_corpus():
         digest.update(f'{p!r}\n'.encode())
+        if p.space.size <= 3:  # the walk yields each preclusive table once
+            pmask = sum(1 << z for z in p.masks)
+            walk = list(oracle._preclusive_tables(p, 'CLOSURE_GUARD', oracle.CLOSURE_GUARD))
+            assert sorted(walk) == [t for t in range(1 << (1 << p.space.size))
+                                    if t & pmask == 0]
+            if p.precludes_everything():
+                assert walk == [0]
         for solve in (oracle.brute_multiplicative, oracle.brute_linear):
             digest.update((' '.join(map(str, solve(p))) + '\n').encode())
         if p.space.size <= oracle.CLOSURE_GUARD:
