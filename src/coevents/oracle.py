@@ -204,10 +204,10 @@ def brute_min_cover(preclusions: PreclusionSet) -> tuple[tuple[tuple[Coevent, ..
     """Reference answer for the ideal scheme.
 
     Exhaustively searches sets of nonzero preclusive truth tables whose
-    true sets jointly cover the non-precluded events (the first, largest
-    preclusive table), by increasing weight budget, and returns (all
-    minimum-weight sets, minimum weight).  When every event is precluded
-    there is nothing to cover and the result is ((), None): infeasible.
+    true sets jointly cover the non-precluded events, by increasing weight
+    budget, and returns (all minimum-weight sets, minimum weight).  When
+    every event is precluded there is nothing to cover and the result is
+    ((), None): infeasible.
     """
     space = preclusions.space
     tables = list(_preclusive_tables(preclusions, 'CLOSURE_GUARD', CLOSURE_GUARD))
