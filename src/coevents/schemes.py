@@ -1,8 +1,9 @@
 """Solvers for the three coevent schemes over a preclusion set.
 
 Every scheme asks for the coevents that map each precluded event to 0
-while satisfying structural axioms; the answers are collected in a
-:class:`SchemeResult` whose coevents are the admitted "possible realities".
+while satisfying structural axioms; the answers are collected (by
+``_answer`` outside the ideal scheme) in a :class:`SchemeResult` whose
+coevents are the admitted "possible realities".
 
 multiplicative
     Monomial coevents F* with F contained in no precluded event, F minimal.
@@ -146,8 +147,13 @@ class SchemeResult:
         return self.generating_sets is None or len(self.generating_sets) <= 1
 
 
-def _canonical(coevents: Iterable[Coevent]) -> tuple[Coevent, ...]:
-    return tuple(sorted(set(coevents), key=str))
+def _answer(scheme: str, preclusions: PreclusionSet, coevents: Iterable[Coevent],
+            **diagnostics: int) -> SchemeResult:
+    """The result admitting the distinct `coevents`, in text order."""
+    ordered = tuple(sorted(set(coevents), key=str))
+    assert all(phi.is_preclusive(preclusions) for phi in ordered)
+    return SchemeResult(scheme, ordered, sum(phi.complexity for phi in ordered),
+                        diagnostics=diagnostics)
 
 
 def _echelon(vectors: Iterable[int]) -> dict[int, int]:
@@ -206,14 +212,10 @@ def multiplicative_scheme(preclusions: PreclusionSet) -> SchemeResult:
             twice |= once & occurs[v]
             once |= occurs[v]
         assert all(occurs[v] & once & ~twice for v in bit_indices(t))
-    coevents = _canonical(monomial(Event(space, t)) for t in transversals)
-    assert all(phi.is_preclusive(preclusions) for phi in coevents)
-    return SchemeResult(
-        scheme='multiplicative',
-        coevents=coevents,
-        total_complexity=sum(phi.complexity for phi in coevents),
-        diagnostics={'edges': len(edges), 'candidates_examined': nodes,
-                     'transversals': len(transversals)})
+    return _answer('multiplicative', preclusions,
+                   (monomial(Event(space, t)) for t in transversals),
+                   edges=len(edges), candidates_examined=nodes,
+                   transversals=len(transversals))
 
 
 def linear_scheme(preclusions: PreclusionSet) -> SchemeResult:
@@ -273,19 +275,14 @@ def linear_scheme(preclusions: PreclusionSet) -> SchemeResult:
             chosen.append(sum(1 << j for j in members))
 
     rows = list(pivots.values())
-    for s in chosen:  # minimal; is_preclusive below checks the even overlaps
+    for s in chosen:  # minimal; _answer checks the even overlaps
         assert len(_echelon(row & s for row in rows)) == s.bit_count() - 1
-    coevents = _canonical(
-        Coevent._raw(space, frozenset(1 << i for i in bit_indices(s)))
-        for s in chosen)
-    assert all(phi.is_preclusive(preclusions) for phi in coevents)
-    return SchemeResult(
-        scheme='linear',
-        coevents=coevents,
-        total_complexity=sum(phi.complexity for phi in coevents),
-        diagnostics={'nullspace_dimension': nullity,
-                     'solutions_examined': (1 << len(basis)) - 1,
-                     'minimal_supports': minimal_count})
+    return _answer('linear', preclusions,
+                   (Coevent._raw(space, frozenset(1 << i for i in bit_indices(s)))
+                    for s in chosen),
+                   nullspace_dimension=nullity,
+                   solutions_examined=(1 << len(basis)) - 1,
+                   minimal_supports=minimal_count)
 
 
 def _universe(preclusions: PreclusionSet) -> int:
@@ -346,11 +343,6 @@ def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
     n = space.size
     _check_guard('ideal search', n, 'IDEAL_SEARCH_GUARD', IDEAL_SEARCH_GUARD)
     universe = _universe(preclusions)
-
-    if universe == 0:
-        return SchemeResult(
-            scheme='ideal', coevents=(), total_complexity=None, generating_sets=(),
-            diagnostics={'candidates': 0, 'nodes': 0, 'optimal_sets': 0})
 
     # candidates: every nonzero preclusive coevent, i.e. every nonzero truth
     # table inside the universe, scanned by complexity and then by ascending
@@ -427,37 +419,35 @@ def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
                 search(covered | covers[idx], weight + weights[idx], chosen + (idx,))
             idx += 1
 
-    search(0, 0, ())
-    assert best_weight is not None and best_sets
+    if universe:  # with everything precluded no set is searched or found
+        search(0, 0, ())
+        assert best_sets
 
     member = {idx: Coevent._from_table(space, covers[idx]) for idx in set().union(*best_sets)}
     text = {idx: str(phi) for idx, phi in member.items()}
     sets_out = [tuple(member[idx] for idx in s) for s in sorted(
         (sorted(s, key=text.__getitem__) for s in best_sets),
         key=lambda s: [text[idx] for idx in s])]
-    full_event = 1 << space.full.bits
-    covered_by_unital = 0
-    for indices in best_sets:
+    for indices in best_sets:  # each set generates the whole preclusive ideal
         joined = 0
         for idx in indices:
             joined |= covers[idx]
-            if covers[idx] & full_event:  # unital: true on the whole space
-                covered_by_unital |= covers[idx]
-        assert joined == universe  # each set generates the whole preclusive ideal
-    unital = tuple(member[idx] for idx in sorted(member, key=text.__getitem__)
-                   if covers[idx] & full_event)
+        assert joined == universe
     assert all(phi.is_preclusive(preclusions) for phi in member.values())
-
-    uncovered = universe & ~covered_by_unital
-    uncovered_events = tuple(
-        Event(space, a) for a in sorted(bit_indices(uncovered), key=canonical_key))
+    full_event = 1 << space.full.bits
+    unital, uncovered = [], universe
+    for idx in sorted(member, key=text.__getitem__):
+        if covers[idx] & full_event:  # unital: true on the whole space
+            unital.append(member[idx])
+            uncovered &= ~covers[idx]
 
     return SchemeResult(
         scheme='ideal',
-        coevents=unital,
+        coevents=tuple(unital),
         total_complexity=best_weight,
         generating_sets=tuple(sets_out),
-        uncovered_by_unital=uncovered_events,
+        uncovered_by_unital=tuple(
+            Event(space, a) for a in sorted(bit_indices(uncovered), key=canonical_key)),
         diagnostics={'candidates': (1 << k) - 1, 'nodes': nodes,
                      'optimal_sets': len(sets_out)})
 

@@ -188,7 +188,8 @@ def test_scheme_answers_meet_their_definitions(preclusions):
     # them; the answers are the inclusion-minimal such F
     outside = {f for f in subsets if all(f & ~z for z in precluded)}
     minimal = {f for f in outside if not any(g in outside for g in submasks(f))}
-    answers = [phi.masks for phi in multiplicative_scheme(preclusions).coevents]
+    multiplicative = multiplicative_scheme(preclusions)
+    answers = [phi.masks for phi in multiplicative.coevents]
     assert len(answers) == len(set(answers))
     for masks in answers:
         [f] = masks  # one monomial
@@ -203,7 +204,8 @@ def test_scheme_answers_meet_their_definitions(preclusions):
                  if s and all((s & z).bit_count() % 2 == 0 for z in precluded)}
     supports = {s for s in solutions
                 if s.bit_count() % 2 and not any(t in solutions for t in submasks(s))}
-    answers = [phi.masks for phi in linear_scheme(preclusions).coevents]
+    linear = linear_scheme(preclusions)
+    answers = [phi.masks for phi in linear.coevents]
     assert len(answers) == len(set(answers))
     found = set()
     for masks in answers:
@@ -214,6 +216,13 @@ def test_scheme_answers_meet_their_definitions(preclusions):
         assert not any(t in solutions for t in submasks(s))  # support-minimal
         found.add(s)
     assert found == supports  # complete
+
+    for result in (multiplicative, linear):
+        # strictly increasing text, and the total is the sum of monomial degrees
+        texts = [str(phi) for phi in result.coevents]
+        assert all(a < b for a, b in zip(texts, texts[1:]))
+        assert result.total_complexity == sum(
+            f.bit_count() for phi in result.coevents for f in phi.masks)
 
 
 def truth(phi, event):
