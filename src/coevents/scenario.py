@@ -18,7 +18,8 @@ Exactly one of the three measure modes must be present.  Events use the
 
 Parsing never raises on malformed text mid-stream: every problem found is
 collected as a :class:`ParseDiagnostic` with a 1-based line and column,
-and a :class:`ScenarioError` carrying the whole list is raised at the end.
+and a :class:`ScenarioError` carrying the whole list, in line:column
+order, is raised at the end.
 :func:`render_scenario` writes a canonical form whose reparse equals the
 original parse.
 """
@@ -121,8 +122,7 @@ class Scenario:
 
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text; raises :class:`ScenarioError` with all problems."""
-    diags: list[ParseDiagnostic] = []  # the histories lines' problems,
-    later: list[ParseDiagnostic] = []  # then the other lines', in line order
+    diags: list[ParseDiagnostic] = []
     space: SampleSpace | None = None
     title: str | None = None
     has_histories = False
@@ -143,18 +143,17 @@ def parse_scenario(text: str) -> Scenario:
             has_histories = True
             space = _parse_histories(lineno, line, tokens, diags)
         elif needs is None:
-            _report(later, lineno, _columns(line)[0], f'unknown directive {word!r}')
+            _report(diags, lineno, _columns(line)[0], f'unknown directive {word!r}')
         elif word == 'title' and title is not None:
-            _report(later, lineno, _columns(line)[0], "duplicate 'title' directive")
+            _report(diags, lineno, _columns(line)[0], "duplicate 'title' directive")
         elif len(tokens) == 1 or count and len(tokens) - 1 != count:
-            _report(later, lineno, _columns(line)[0], needs)
+            _report(diags, lineno, _columns(line)[0], needs)
         elif word == 'title':
             title = line.lstrip()[len('title'):].strip()
         else:
             found[word].append((lineno, line, tokens))
     if not has_histories:
         _report(diags, 1, 1, "missing 'histories' directive")
-    diags += later
 
     mode = None
     present = [m for m, words in _MODES.items() if any(map(found.get, words))]
@@ -185,8 +184,8 @@ def parse_scenario(text: str) -> Scenario:
                 _report(diags, lineno, start, exc)
         fields = {'precluded': tuple(sorted(events, key=lambda ev: canonical_key(ev.bits)))}
 
-    if diags:
-        raise ScenarioError(diags)
+    if diags:  # in (line, column) order; a stable sort keeps each place's own order
+        raise ScenarioError(sorted(diags, key=lambda d: (d.line, d.column)))
     return Scenario(space=space, mode=mode, title=title, **fields)
 
 

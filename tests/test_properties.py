@@ -3,10 +3,12 @@
 Round trips: parsing a rendered value gives the value back, for events,
 coevents, complex numbers and scenario text over random spaces of up to 10
 histories.  The command line never crashes, and answers within seconds, on
-scenario text one character away from a valid one.  The multiplicative and
-linear answers on random explicit preclusion sets at n <= 8, and the ideal
+scenario text one character away from a valid one, and lists a malformed
+text's diagnostics in (line, column) order.  The multiplicative and linear
+answers on random explicit preclusion sets at n <= 8, and the ideal
 answers at n = 4 (past the oracle's n <= 3), match their definitions,
-checked by direct set operations over all 2^n subsets.  Runs are derandomized and keep
+checked by direct set operations over all 2^n subsets; the first two also
+come in strictly increasing text order, totalled by their monomial degrees.  Runs are derandomized and keep
 no example database, so the suite stays deterministic; conftest.py keeps
 Hypothesis's other caches out of the working tree.
 """
@@ -129,7 +131,7 @@ COMMANDS = (['preclusions'], ['solve', '--scheme', 'multiplicative'],
             ['solve', '--scheme', 'linear'], ['solve', '--scheme', 'ideal'],
             ['infer', '--scheme', 'multiplicative', '--query', '{}'],
             ['infer', '--scheme', 'linear', '--query', '{}'])
-DIAGNOSTIC = re.compile(r'^(\d+:\d+: )?error: ')
+DIAGNOSTIC = re.compile(r'^(?:(\d+):(\d+): )?error: ')
 
 
 @st.composite
@@ -159,7 +161,10 @@ def test_cli_survives_one_character_edits(tmp_path_factory, text, command):
     if code == 2:
         assert out.getvalue() == ''
         lines = err.getvalue().splitlines()
-        assert lines and all(DIAGNOSTIC.match(line) for line in lines), lines
+        matches = [DIAGNOSTIC.match(line) for line in lines]
+        assert lines and all(matches), lines
+        places = [(int(m[1]), int(m[2])) for m in matches if m[1]]
+        assert places == sorted(places), lines  # in (line, column) order
 
 
 @st.composite

@@ -209,11 +209,12 @@ class TestDiagnostics:
 
     def test_over_long_number_position(self):
         # past int's digit limit for str conversion: a diagnostic at the
-        # number, and the error on the next line is still reported
+        # number, and the error on the next line is still reported; the
+        # missing amplitude for 'b' is placed at column 1 of line 2
         text = f'histories a b\namplitude a 2/{"3" * 5000}\namplitude q 1\n'
         diags = diagnostics_of(text)
-        assert [(d.line, d.column) for d in diags][:2] == [(2, 13), (3, 11)]
-        assert 'digits' in diags[0].message
+        assert [(d.line, d.column) for d in diags] == [(2, 1), (2, 13), (3, 11)]
+        assert 'digits' in diags[1].message
 
     def test_block_overlap(self):
         text = ('histories a b c\namplitude a 1\namplitude b 1\namplitude c 1\n'
@@ -287,9 +288,9 @@ class TestMutationCorpus:
     Each text is a bundled or small scenario with one to three lines or
     tokens deleted, inserted, replaced or duplicated.  The digest covers
     each outcome in turn: the diagnostics, in order, or the canonical
-    render of what parsed.  It was recorded from the parser as it stood
-    before diagnostics were routed through one path, so any change to a
-    message, a position, their order or a parse result moves it.
+    render of what parsed.  It was last recorded when diagnostics came to
+    be reported in (line, column) order, so any change to a message, a
+    position, their order or a parse result moves it.
     """
 
     SEEDS = (
@@ -305,7 +306,7 @@ class TestMutationCorpus:
               'frobnicate', '#', '', 'a', 'b', 'c', 'p', 'q', 'x', 'y', 'g1', 'b*c',
               '0', '1', '-1', '1/2', '1/0', '2i', '1.5', '3/2-1/2i', '1/2+1/2i',
               '{a}', '{a q}', '{}', 'a+b', 'a+', '{a', '}')
-    DIGEST = 'fa8af1c3cdea456a5ad3928d166aaa4c46210b1416710192af9e7b8dab64e07a'
+    DIGEST = 'b51e3cdc22e5cbf8e0df025b1ab2181fd419332c9c22868f7806e5e602fa75ae'
 
     @staticmethod
     def mutate(rng, text):
