@@ -247,6 +247,32 @@ def pinned_corpus():
             yield n, masks
 
 
+LINEAR_RENDER_DIGEST = '121a7c652735717f0984edab287836081369b0d06eef72f95eb5d33e6006e01b'
+
+
+def linear_render_corpus():
+    """500 seeded explicit preclusion sets, n = 1..20, 0 to 30 events each."""
+    rng = random.Random(703276)
+    for k in range(500):
+        n = 1 + k % 20
+        if k % 4 == 0:
+            # three to six constraints and no forced twins: a reduced system
+            # with many solutions
+            absent, twin_of, density, count = 0, {}, 0.5, rng.randint(3, 6)
+        else:
+            absent = sum(1 << i for i in range(n) if rng.random() < 0.1)
+            twin_of = {i: rng.randrange(i) for i in range(1, n) if rng.random() < 0.2}
+            density = rng.choice((0.2, 0.5, 0.8))
+            count = rng.randint(0, 30)
+        masks = []
+        for _ in range(count):
+            m = sum(1 << i for i in range(n) if rng.random() < density)
+            for i, j in twin_of.items():  # j < i, so chains copy through
+                m = m & ~(1 << i) | (m >> j & 1) << i
+            masks.append(m & ~absent)
+        yield n, masks
+
+
 class TestPinnedCorpus:
 
     def test_both_solvers_match_brute_force(self):
@@ -279,6 +305,21 @@ class TestPinnedCorpus:
             assert result.diagnostics['minimal_supports'] == count
             seen['reduced nullity >= 3'] += result.diagnostics['solutions_examined'] >= 7
         assert all(count >= 5 for count in seen.values()), seen
+
+    def test_linear_rendered_corpus_is_pinned(self):
+        # text and JSON, counters included, at sizes brute force cannot
+        # reach; the digest was taken from the solver that row-reduced the
+        # system and read each history's column over the pivots
+        digest = hashlib.sha256()
+        wide = 0
+        for n, masks in linear_render_corpus():
+            space = SampleSpace(f'h{i}' for i in range(n))
+            result = linear_scheme(PreclusionSet.explicit(space, [Event(space, m) for m in masks]))
+            digest.update(render_result(result).encode())
+            digest.update(render_result(result, 'json').encode())
+            wide += result.diagnostics['solutions_examined'] >= 255  # reduced nullity >= 8
+        assert wide >= 5
+        assert digest.hexdigest() == LINEAR_RENDER_DIGEST
 
     def test_class_reduction_cases(self):
         space = SampleSpace('abcdef')
