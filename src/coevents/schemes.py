@@ -27,16 +27,17 @@ linear
     computed first and the unital ones (odd support) are kept; judging
     minimality among the unital solutions alone would admit the same
     coevents, since the solutions form a subspace.  Histories whose
-    columns in the row-reduced system are equal are interchangeable, so a
+    columns over the precluded events are equal are interchangeable, so a
     minimal support is a single history of zero column, two histories of
     one column class, or a minimal solution of the reduced system (one
     position per distinct nonzero column) with one member chosen per
-    class.  Only the reduced system's 2^(m - rank) solutions are walked,
-    m the number of distinct nonzero columns, and each is tested locally
+    class.  One echelon pass over the m distinct nonzero columns, each
+    tagged with its position bit, yields the rank and a basis of the
+    reduced system's 2^(m - rank) solutions; each is walked and tested
     for minimality by the rank criterion for minimal codewords (Ashikhmin
     & Barg, "Minimal vectors in linear codes", 1998): its columns have
-    rank one less than its size.  ``NULLSPACE_GUARD`` = 20 still bounds
-    the nullity of the unreduced system, checked before the walk.
+    rank one less than its size.  ``NULLSPACE_GUARD`` = 20 bounds the
+    nullity of the unreduced system, checked before the walk.
 
 ideal
     A set of preclusive coevents generating, as a ring ideal, all
@@ -169,17 +170,22 @@ def _echelon(vectors: Iterable[int]) -> dict[int, int]:
     return basis
 
 
+def _transpose(rows: Iterable[int], n: int) -> list[int]:
+    """For each of n bit positions, the bitmask of the indices of the rows holding it."""
+    columns = [0] * n
+    for k, row in enumerate(rows):
+        for v in bit_indices(row):
+            columns[v] |= 1 << k
+    return columns
+
+
 def multiplicative_scheme(preclusions: PreclusionSet) -> SchemeResult:
     """Minimal monomial coevents contained in no precluded event."""
     space = preclusions.space
     full = (1 << space.size) - 1
     edges = sorted({full & ~z for z in preclusions.masks},
                    key=lambda e: (e.bit_count(), e))
-    # occurs[v]: the edges containing history v, as a bitmask over edge indices
-    occurs = [0] * space.size
-    for k, edge in enumerate(edges):
-        for v in bit_indices(edge):
-            occurs[v] |= 1 << k
+    occurs = _transpose(edges, space.size)  # occurs[v]: the edges holding history v
     transversals: list[int] = []
     nodes, cap = 0, 1 << measure.MEASURE_GUARD
 
@@ -223,34 +229,22 @@ def linear_scheme(preclusions: PreclusionSet) -> SchemeResult:
     space = preclusions.space
     n = space.size
 
-    # row reduce the even-overlap constraints over GF(2)
-    pivots = _echelon(sorted(preclusions.masks))
-    for col in sorted(pivots, reverse=True):
-        row = pivots[col]
-        for other_col, other_row in list(pivots.items()):
-            if other_col != col and other_row >> col & 1:
-                pivots[other_col] = other_row ^ row
-
-    nullity = n - len(pivots)
-    _check_guard('linear scheme', nullity, 'NULLSPACE_GUARD', NULLSPACE_GUARD,
-                 'nullspace dimension {}')
-
-    # histories with equal reduced columns (bitmasks over the pivot
-    # columns) are interchangeable; a pivot history's column is its own bit
+    # histories with equal columns over the precluded events are interchangeable
     classes: dict[int, list[int]] = {}
-    for j in range(n):
-        column = 0
-        for col, row in pivots.items():
-            if row >> j & 1:
-                column |= 1 << col
+    for j, column in enumerate(_transpose(sorted(preclusions.masks), n)):
         classes.setdefault(column, []).append(j)
     zero_column = classes.pop(0, [])
     columns = sorted(classes)
-    position = {c: k for k, c in enumerate(columns)}
-    # reduced system: one position per distinct nonzero column; each
-    # non-pivot column plus the pivots it names sums to zero
-    basis = [1 << position[c] | sum(1 << position[1 << p] for p in bit_indices(c))
-             for c in columns if c.bit_count() > 1]
+    m = len(columns)
+    # tagged with its position bit below bit m, each distinct column reduces
+    # to a new leading bit at or above m (the rank) or to tags alone: those
+    # are solutions of the reduced system, and together a basis of them
+    echelon = _echelon(c << m | 1 << k for k, c in enumerate(columns))
+    basis = [v for top, v in echelon.items() if top < m]
+    nullity = n - (len(echelon) - len(basis))
+    _check_guard('linear scheme', nullity, 'NULLSPACE_GUARD', NULLSPACE_GUARD,
+                 'nullspace dimension {}')
+
     reduced_minimal: list[int] = []
     solution = 0
     for i in range(1, 1 << len(basis)):  # Gray-code walk over the nonzero solutions
@@ -274,9 +268,8 @@ def linear_scheme(preclusions: PreclusionSet) -> SchemeResult:
         for members in product(*(classes[columns[k]] for k in bit_indices(t))):
             chosen.append(sum(1 << j for j in members))
 
-    rows = list(pivots.values())
     for s in chosen:  # minimal; _answer checks the even overlaps
-        assert len(_echelon(row & s for row in rows)) == s.bit_count() - 1
+        assert len(_echelon(z & s for z in preclusions.masks)) == s.bit_count() - 1
     return _answer('linear', preclusions,
                    (Coevent._raw(space, frozenset(1 << i for i in bit_indices(s)))
                     for s in chosen),
