@@ -219,6 +219,7 @@ def test_render(abc):
     assert render_coevent(Coevent.zero(abc)) == '0'
     assert render_coevent(Coevent.one(abc)) == '1'
     assert render_coevent(monomial(abc.event(['c', 'a']))) == 'a*c*'
+    assert repr(monomial(abc.event(['c', 'a']))) == "Coevent('a*c*')"
 
 
 def test_parse_render_round_trip(xy):

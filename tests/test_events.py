@@ -1,6 +1,7 @@
 """Boolean ring structure of events, the event text syntax, and every size guard."""
 
 import itertools
+import operator
 import time
 
 import pytest
@@ -32,6 +33,10 @@ def test_space_rejects_bad_labels():
     for bad in ['a*', 'a+b', '{x}', 'a#1', 'x=1', 'two words']:
         with pytest.raises(ValueError):
             SampleSpace([bad])
+    # one problem per label, in order: an empty label is not also whitespace
+    assert list(events._label_problems(['', 'a', 'a'])) == [
+        (0, 'history label at position 0 is empty or not a string'),
+        (2, "duplicate history label 'a'")]
 
 
 def test_space_guard():
@@ -232,6 +237,16 @@ BOUNDARY_CASES = [
                    id=f'label-{label!r}')
       for label in ['', 1, 'b c', *'*+{}#=', 'a']),
     pytest.param(lambda: ABC.index('zz'), ValueError, id='index-unknown-label'),
+    pytest.param(lambda: Event(ABC, 1 << 3), ValueError, id='bitmask-too-wide'),
+    pytest.param(lambda: Event(ABC, -1), ValueError, id='bitmask-negative'),
+    # ring operations and the subset order take no int operand
+    *(pytest.param(lambda x=x, op=op: op(x, 1), TypeError,
+                   id=f'{type(x).__name__}-{op.__name__}-int')
+      for x, ops in [(ABC.full, (operator.add, operator.mul, operator.or_,
+                                 operator.le, operator.lt)),
+                     (ONE, (operator.add, operator.mul))] for op in ops),
+    pytest.param(lambda: oracle.brute_ideal_closure(ABC, [Coevent.one(XY)]), ValueError,
+                 id='ideal-closure-other-space'),
 ]
 
 

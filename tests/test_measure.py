@@ -100,6 +100,7 @@ class TestDecoherenceMatrix:
         assert d.entry(0, 1) == gr(0)    # across blocks
         assert d.entry(1, 3) == gr(1)
         assert d.entry(2, 2) == gr(1)
+        assert repr(d) == "DecoherenceMatrix(SampleSpace(['g1', 'g2', 'g3', 'g4']), 4x4)"
 
     def test_hermitian_enforced(self):
         space = SampleSpace(['x', 'y'])
