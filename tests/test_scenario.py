@@ -1,6 +1,5 @@
 """Scenario parsing with positioned diagnostics, rendering, bundled files."""
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -8,10 +7,10 @@ import random
 import pytest
 
 import coevents
-from coevents import (GaussianRational, ParseDiagnostic, ScenarioError,
-                      bundled_names, ideal_scheme, linear_scheme, load_bundled,
-                      multiplicative_scheme, parse_scenario, render_complex,
-                      render_result, render_scenario)
+from coevents import (GaussianRational, ParseDiagnostic, SampleSpace, Scenario,
+                      ScenarioError, SchemeResult, bundled_names, ideal_scheme,
+                      linear_scheme, load_bundled, multiplicative_scheme,
+                      parse_scenario, render_complex, render_result, render_scenario)
 
 
 def diagnostics_of(text):
@@ -123,7 +122,7 @@ class TestDiagnostics:
     def test_str_format(self):
         d = ParseDiagnostic(3, 7, 'boom')
         assert str(d) == '3:7: error: boom'
-        assert [f.name for f in dataclasses.fields(d)] == ['line', 'column', 'message']
+        assert ParseDiagnostic.__match_args__ == ('line', 'column', 'message')
 
     def test_missing_histories(self):
         assert positions('precluded {a}\n') == [(1, 1)]
@@ -372,6 +371,63 @@ def test_public_names_pinned():
     namespace = {}
     exec('from coevents import *', namespace)
     assert sorted(set(namespace) - {'__builtins__'}) == expected
+
+
+AB = SampleSpace(['a', 'b'])
+
+
+# (record, its fields, its repr, the record its defaults give, that one's
+# repr, and a record of the same class with another value); the repr texts
+# are those of the frozen dataclasses these records once were
+@pytest.mark.parametrize('record, fields, text, bare, bare_text, other', [
+    (GaussianRational(2, im=-3), ('re', 'im'),
+     'GaussianRational(re=Fraction(2, 1), im=Fraction(-3, 1))',
+     GaussianRational(), 'GaussianRational(re=Fraction(0, 1), im=Fraction(0, 1))',
+     GaussianRational(2, 3)),
+    (ParseDiagnostic(3, column=7, message='boom'), ('line', 'column', 'message'),
+     "ParseDiagnostic(line=3, column=7, message='boom')",
+     None, None, ParseDiagnostic(3, 7, 'bang')),
+    (Scenario(space=AB, mode='explicit', precluded=(AB.atom('a'),)),
+     ('space', 'mode', 'title', 'amplitudes', 'blocks', 'dmatrix', 'precluded'),
+     "Scenario(space=SampleSpace(['a', 'b']), mode='explicit', title=None, "
+     "amplitudes=None, blocks=None, dmatrix=None, precluded=(Event('{a}'),))",
+     Scenario(AB, 'explicit'),
+     "Scenario(space=SampleSpace(['a', 'b']), mode='explicit', title=None, "
+     "amplitudes=None, blocks=None, dmatrix=None, precluded=None)",
+     Scenario(AB, 'explicit', 'titled', precluded=(AB.atom('a'),))),
+    (SchemeResult('linear', coevents=(), diagnostics={'edges': 1}),
+     ('scheme', 'coevents', 'total_complexity', 'generating_sets',
+      'uncovered_by_unital', 'diagnostics'),
+     "SchemeResult(scheme='linear', coevents=(), total_complexity=None, "
+     "generating_sets=None, uncovered_by_unital=(), diagnostics={'edges': 1})",
+     SchemeResult('linear', ()),
+     "SchemeResult(scheme='linear', coevents=(), total_complexity=None, "
+     "generating_sets=None, uncovered_by_unital=(), diagnostics={})",
+     SchemeResult('linear', (), 0)),
+], ids=['GaussianRational', 'ParseDiagnostic', 'Scenario', 'SchemeResult'])
+def test_records_keep_their_value_semantics(record, fields, text, bare, bare_text, other):
+    cls = type(record)
+    assert cls.__match_args__ == fields
+    assert repr(record) == text
+    if bare is not None:
+        assert repr(bare) == bare_text
+    values = [getattr(record, name) for name in fields]
+    twin = cls(*values)
+    assert twin == record and not twin != record
+    assert record != other and record != tuple(values)
+    # every field but the search counters is compared and hashed
+    compared = tuple(v for name, v in zip(fields, values) if name != 'diagnostics')
+    assert hash(record) == hash(twin) == hash(compared)
+    if cls is SchemeResult:
+        recount = cls(*values[:-1], diagnostics={'edges': 2})
+        assert recount == record and hash(recount) == hash(record)
+        assert bare.diagnostics == {} and bare.diagnostics is not cls('linear', ()).diagnostics
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert [getattr(record, name) for name in fields] == values
 
 
 class TestRenderResult:
