@@ -25,7 +25,6 @@ import functools
 import sys
 from pathlib import Path
 
-from . import oracle
 from .coevent import parse_coevent
 from .events import parse_event, render_event
 from .schemes import ideal_scheme, infer, linear_scheme, multiplicative_scheme
@@ -189,6 +188,7 @@ def _check_classical(scenario, lines: list[str]) -> bool:
 
 
 def _check_oracle(scenario, lines: list[str]) -> bool:
+    from . import oracle  # loaded on first use: only `check --oracle` needs it
     preclusions = scenario.preclusion_set()
     n = scenario.space.size
     ok = True

@@ -15,12 +15,13 @@ belongs to; combining events from different spaces raises
 confusion is the dominant mistake in this kind of code.  Two spaces with the
 same ordered labels compare equal and are interchangeable.
 
-Four helpers hold rules that the other modules call rather than repeat:
+Five helpers hold rules that the other modules use rather than repeat:
 :func:`_member_bits` (an argument is an Event of the given space, else
 ``TypeError`` or :class:`SpaceMismatchError`),
 :func:`_check_same_space` (two operands share one space),
-:func:`_label_problems` (the history-label rule, for spaces and scenarios)
-and :func:`_check_guard` (every size guard's refusal, in one wording).
+:func:`_label_problems` (the history-label rule, for spaces and scenarios),
+:func:`_check_guard` (every size guard's refusal, in one wording) and
+:class:`_Record` (the equality, hash, repr and immutability of the records).
 
 Event text syntax (shared with scenario files and the CLI): ``{a c}`` lists
 the member labels inside braces, ``{}`` is the empty event.  Input also
@@ -32,6 +33,7 @@ with labels in space order.
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -108,6 +110,36 @@ def _member_bits(space: SampleSpace, x: object, what: str) -> int:
     if x.space is not space and x.space != space:  # `is` skips __eq__ on the common path
         raise SpaceMismatchError(f'{what} belongs to a different sample space')
     return x.bits
+
+
+class _Record:
+    """Base of the immutable records: ``==`` (same class only) and ``hash`` over the
+    fields in `__match_args__` but `_uncompared`, ``repr`` over all of them; no
+    attribute can be set or deleted, so ``__init__`` stores through ``vars``."""
+
+    _uncompared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # not a method, so called with the record; a tuple, as every record compares two or more
+        cls._compared = attrgetter(*[f for f in cls.__match_args__ if f not in cls._uncompared])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared(self) == other._compared(other)
+
+    def __hash__(self) -> int:
+        return hash(self._compared(self))
+
+    def __repr__(self) -> str:
+        shown = ', '.join(f'{f}={getattr(self, f)!r}' for f in self.__match_args__)
+        return f'{type(self).__qualname__}({shown})'
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f'cannot assign to field {name!r}')
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f'cannot delete field {name!r}')
 
 
 def _label_problems(labels: Iterable[object]) -> Iterator[tuple[int, str]]:

@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from typing import Iterable, Iterator, Sequence, Union
 
 from .events import (Event, ParseError, SampleSpace, _check_guard, _member_bits,
-                     bit_indices, canonical_key)
+                     _Record, bit_indices, canonical_key)
 
 __all__ = [
     'MEASURE_GUARD',
@@ -55,19 +54,16 @@ MEASURE_GUARD = 14  # events walked are at most 2^this, as are nulls listed
 _Scalar = Union['GaussianRational', Fraction, int]
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(_Record):
     """Complex number with exact `Fraction` parts, parsed and rendered only:
     it has no arithmetic, and computations read `re` and `im` directly."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __match_args__ = ('re', 'im')
 
-    def __post_init__(self):  # the one coercion; parsed parts already are Fractions
-        if type(self.re) is not Fraction:
-            object.__setattr__(self, 're', _exact(self.re))
-        if type(self.im) is not Fraction:
-            object.__setattr__(self, 'im', _exact(self.im))
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
+        # the one coercion; parsed parts already are Fractions
+        vars(self).update(re=re if type(re) is Fraction else _exact(re),
+                          im=im if type(im) is Fraction else _exact(im))
 
     def conjugate(self) -> 'GaussianRational':
         return GaussianRational(self.re, -self.im)

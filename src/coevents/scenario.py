@@ -27,14 +27,11 @@ original parse.
 from __future__ import annotations
 
 import functools
-import json
-from dataclasses import dataclass
-from importlib import resources
 from typing import Iterable
 
 from .coevent import Coevent
 from .events import (_TOKEN, Event, ParseError, SampleSpace, _label_bit,
-                     _label_problems, canonical_key, parse_event, render_event)
+                     _label_problems, _Record, canonical_key, parse_event, render_event)
 from .measure import (DecoherenceMatrix, GaussianRational, PreclusionSet,
                       first_non_hermitian, parse_complex, render_complex)
 from .schemes import SchemeResult
@@ -69,13 +66,13 @@ _MODES = {
 }
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(_Record):
     """One problem in scenario text; line and column are 1-based."""
 
-    line: int
-    column: int
-    message: str
+    __match_args__ = ('line', 'column', 'message')
+
+    def __init__(self, line: int, column: int, message: str):
+        vars(self).update(line=line, column=column, message=message)
 
     def __str__(self) -> str:
         return f'{self.line}:{self.column}: error: {self.message}'
@@ -90,17 +87,17 @@ class ScenarioError(Exception):
         super().__init__('\n'.join(str(d) for d in self.diagnostics))
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Record):
     """A parsed scenario: a sample space plus one way of fixing the zeros."""
 
-    space: SampleSpace
-    mode: str
-    title: str | None = None
-    amplitudes: tuple[GaussianRational, ...] | None = None
-    blocks: tuple[Event, ...] | None = None
-    dmatrix: DecoherenceMatrix | None = None
-    precluded: tuple[Event, ...] | None = None
+    __match_args__ = ('space', 'mode', 'title', 'amplitudes', 'blocks', 'dmatrix', 'precluded')
+
+    def __init__(self, space: SampleSpace, mode: str, title: str | None = None,
+                 amplitudes: tuple[GaussianRational, ...] | None = None,
+                 blocks: tuple[Event, ...] | None = None, dmatrix: DecoherenceMatrix | None = None,
+                 precluded: tuple[Event, ...] | None = None):
+        vars(self).update(space=space, mode=mode, title=title, amplitudes=amplitudes,
+                          blocks=blocks, dmatrix=dmatrix, precluded=precluded)
 
     def decoherence_matrix(self) -> DecoherenceMatrix | None:
         """The matrix behind the measure; None for explicit preclusions."""
@@ -108,7 +105,7 @@ class Scenario:
 
     @functools.cached_property
     def _matrix(self) -> DecoherenceMatrix | None:
-        # built on first use and kept; not a field, so outside ==, hash and repr
+        # built on first use and kept; not in __match_args__, so outside ==, hash and repr
         if self.mode == 'amplitudes':
             return DecoherenceMatrix.from_amplitudes(
                 self.space, self.amplitudes, self.blocks)
@@ -329,6 +326,7 @@ def _coevent_line(phi: Coevent) -> str:
 def render_result(result: SchemeResult, format: str = 'text') -> str:
     """Render a solve outcome; identical inputs give identical bytes."""
     if format == 'json':
+        import json  # loaded on first use: text output never needs it
         return json.dumps(_result_document(result), indent=2) + '\n'
     if format != 'text':
         raise ValueError(f"format must be 'text' or 'json', got {format!r}")
@@ -378,6 +376,7 @@ def _result_document(result: SchemeResult) -> dict:
 @functools.cache  # the package data does not change while it runs
 def bundled_names() -> tuple[str, ...]:
     """Names of the scenario files shipped with the package."""
+    from importlib import resources  # loaded on first use: from Python 3.12 it imports inspect
     folder = resources.files('coevents').joinpath('data')
     return tuple(sorted(entry.name for entry in folder.iterdir() if entry.is_file()))
 
@@ -387,4 +386,5 @@ def load_bundled(name: str) -> str:
     known = bundled_names()
     if name not in known:
         raise ValueError(f'unknown bundled scenario {name!r}; bundled: {", ".join(known)}')
+    from importlib import resources
     return resources.files('coevents').joinpath('data').joinpath(name).read_text(encoding='utf-8')

@@ -67,14 +67,13 @@ ideal
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 from math import prod
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import measure
 from .coevent import Coevent, _anf, _lacking, monomial
-from .events import Event, _check_guard, bit_indices, canonical_key
+from .events import Event, _check_guard, _Record, bit_indices, canonical_key
 from .measure import PreclusionSet
 
 __all__ = [
@@ -113,8 +112,7 @@ def _anf_order(anf: int) -> str:
     return bin(anf)[:1:-1].translate(_SWAP_DIGITS)
 
 
-@dataclass(frozen=True)
-class SchemeResult:
+class SchemeResult(_Record):
     """Outcome of one scheme solve.
 
     `coevents` holds the admitted coevents in canonical text order; empty
@@ -122,8 +120,8 @@ class SchemeResult:
     every minimum-complexity generating set (usually one), `total_complexity`
     is that minimum (None when everything is precluded), and
     `uncovered_by_unital` lists the non-precluded events not covered by any
-    unital member.  `diagnostics` carries deterministic search counters;
-    wall time is kept out of it so rendered output is reproducible.  For
+    unital member.  `diagnostics` carries deterministic search counters (not
+    compared); wall time is kept out of it so rendered output is reproducible.  For
     the multiplicative scheme `candidates_examined` counts the nodes of the
     MMCS search; for the linear scheme `solutions_examined` counts the
     nonzero solutions of the reduced system, 2^(m - rank) - 1, and
@@ -131,12 +129,18 @@ class SchemeResult:
     even.
     """
 
-    scheme: str
-    coevents: tuple[Coevent, ...]
-    total_complexity: int | None = None
-    generating_sets: tuple[tuple[Coevent, ...], ...] | None = None
-    uncovered_by_unital: tuple[Event, ...] = ()
-    diagnostics: Mapping[str, int] = field(default_factory=dict, compare=False)
+    __match_args__ = ('scheme', 'coevents', 'total_complexity', 'generating_sets',
+                      'uncovered_by_unital', 'diagnostics')
+    _uncompared = ('diagnostics',)
+
+    def __init__(self, scheme: str, coevents: tuple[Coevent, ...],
+                 total_complexity: int | None = None,
+                 generating_sets: tuple[tuple[Coevent, ...], ...] | None = None,
+                 uncovered_by_unital: tuple[Event, ...] = (),
+                 diagnostics: Mapping[str, int] | None = None):
+        vars(self).update(scheme=scheme, coevents=coevents, total_complexity=total_complexity,
+                          generating_sets=generating_sets, uncovered_by_unital=uncovered_by_unital,
+                          diagnostics={} if diagnostics is None else diagnostics)
 
     @property
     def is_viable(self) -> bool:
@@ -170,13 +174,11 @@ def _echelon(vectors: Iterable[int]) -> dict[int, int]:
     return basis
 
 
-def _transpose(rows: Iterable[int], n: int) -> list[int]:
+def _transpose(rows: Sequence[int], n: int) -> list[int]:
     """For each of n bit positions, the bitmask of the indices of the rows holding it."""
-    columns = [0] * n
-    for k, row in enumerate(rows):
-        for v in bit_indices(row):
-            columns[v] |= 1 << k
-    return columns
+    # one digit string per column, last row first; the zero row keeps n columns for no rows
+    lines = ['0' * n, *(format(row, f'0{n}b') for row in reversed(rows))]
+    return [int(''.join(digits), 2) for digits in zip(*lines)][::-1]
 
 
 def multiplicative_scheme(preclusions: PreclusionSet) -> SchemeResult:

@@ -446,6 +446,23 @@ def test_module_invocation():
     assert proc.stdout == '{}\n{a c}\n{b c}\n'
 
 
+def test_cold_start_defers_the_oracle_and_json():
+    # modules the site startup loads count for the bare interpreter as well
+    listing = 'import sys; print(*sys.modules)'
+    bare, loaded = (set(subprocess.run([sys.executable, '-c', code], capture_output=True,
+                                       text=True, env=CHILD_ENV, check=True).stdout.split())
+                    for code in (listing, 'import coevents, coevents.cli; ' + listing))
+    assert 'coevents.cli' in loaded
+    unused = {'dataclasses', 'inspect', 'json', 'coevents.oracle'} & (loaded - bare)
+    assert not unused
+    # a fresh process still loads them when asked: golden output, exit code included
+    golden = Path(__file__).resolve().parent / 'golden' / 'cli.json'
+    cases = {case['id']: case for case in json.loads(golden.read_text())['cases']}
+    for name in ('three_slit/check-oracle', 'three_slit/solve-ideal-json'):
+        case = cases[name]
+        assert fresh_process(case['argv']) == (case['exit'], case['stdout'], case['stderr'])
+
+
 def test_readme_examples_and_package_doctest(capsys):
     # each `$ coevents ...` example under README's "Command line", its
     # continuation lines joined, against the output shown below it
