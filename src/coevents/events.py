@@ -32,6 +32,7 @@ with labels in space order.
 
 from __future__ import annotations
 
+import functools
 import re
 from operator import attrgetter
 from typing import Iterable, Iterator
@@ -112,15 +113,40 @@ def _member_bits(space: SampleSpace, x: object, what: str) -> int:
     return x.bits
 
 
+class _DataclassView:
+    """A record's ``__dataclass_fields__`` or ``__dataclass_params__``: its frozen dataclass
+    twin's, made on first read, so that ``dataclasses.replace`` and ``fields`` take the
+    records while only a process that calls them imports `dataclasses`."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, record: object, cls: type) -> object:
+        return getattr(_dataclass_twin(cls), self.name)
+
+
+@functools.cache
+def _dataclass_twin(cls: type) -> type:
+    import dataclasses
+    return dataclasses.make_dataclass(cls.__name__, [
+        (f, object, dataclasses.field(compare=f not in cls._uncompared))
+        for f in cls.__match_args__], frozen=True)
+
+
 class _Record:
-    """Base of the immutable records: ``==`` (same class only) and ``hash`` over the
-    fields in `__match_args__` but `_uncompared`, ``repr`` over all of them; no
-    attribute can be set or deleted, so ``__init__`` stores through ``vars``."""
+    """Base of the immutable records, whose fields are the parameters of ``__init__``:
+    ``==`` (same class only) and ``hash`` over the fields but `_uncompared`, ``repr``
+    over all of them; no attribute can be set or deleted, so ``__init__`` stores
+    through ``vars``."""
 
     _uncompared: tuple[str, ...] = ()
+    __dataclass_fields__ = _DataclassView()
+    __dataclass_params__ = _DataclassView()
 
     def __init_subclass__(cls) -> None:
-        # not a method, so called with the record; a tuple, as every record compares two or more
+        code = cls.__init__.__code__
+        cls.__match_args__ = code.co_varnames[1:code.co_argcount]
+        # a tuple, as every record compares two or more fields
         cls._compared = attrgetter(*[f for f in cls.__match_args__ if f not in cls._uncompared])
 
     def __eq__(self, other: object) -> bool:

@@ -58,8 +58,6 @@ class GaussianRational(_Record):
     """Complex number with exact `Fraction` parts, parsed and rendered only:
     it has no arithmetic, and computations read `re` and `im` directly."""
 
-    __match_args__ = ('re', 'im')
-
     def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
         # the one coercion; parsed parts already are Fractions
         vars(self).update(re=re if type(re) is Fraction else _exact(re),

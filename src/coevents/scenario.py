@@ -69,8 +69,6 @@ _MODES = {
 class ParseDiagnostic(_Record):
     """One problem in scenario text; line and column are 1-based."""
 
-    __match_args__ = ('line', 'column', 'message')
-
     def __init__(self, line: int, column: int, message: str):
         vars(self).update(line=line, column=column, message=message)
 
@@ -90,8 +88,6 @@ class ScenarioError(Exception):
 class Scenario(_Record):
     """A parsed scenario: a sample space plus one way of fixing the zeros."""
 
-    __match_args__ = ('space', 'mode', 'title', 'amplitudes', 'blocks', 'dmatrix', 'precluded')
-
     def __init__(self, space: SampleSpace, mode: str, title: str | None = None,
                  amplitudes: tuple[GaussianRational, ...] | None = None,
                  blocks: tuple[Event, ...] | None = None, dmatrix: DecoherenceMatrix | None = None,
@@ -105,7 +101,7 @@ class Scenario(_Record):
 
     @functools.cached_property
     def _matrix(self) -> DecoherenceMatrix | None:
-        # built on first use and kept; not in __match_args__, so outside ==, hash and repr
+        # built on first use and kept; not a field, so outside ==, hash and repr
         if self.mode == 'amplitudes':
             return DecoherenceMatrix.from_amplitudes(
                 self.space, self.amplitudes, self.blocks)
@@ -373,12 +369,16 @@ def _result_document(result: SchemeResult) -> dict:
     return document
 
 
+def _data_folder():
+    """The folder of bundled scenarios, as an importlib.resources traversable."""
+    from importlib import resources  # here, so that `import coevents` has no inspect (3.12+)
+    return resources.files('coevents').joinpath('data')
+
+
 @functools.cache  # the package data does not change while it runs
 def bundled_names() -> tuple[str, ...]:
     """Names of the scenario files shipped with the package."""
-    from importlib import resources  # loaded on first use: from Python 3.12 it imports inspect
-    folder = resources.files('coevents').joinpath('data')
-    return tuple(sorted(entry.name for entry in folder.iterdir() if entry.is_file()))
+    return tuple(sorted(entry.name for entry in _data_folder().iterdir() if entry.is_file()))
 
 
 def load_bundled(name: str) -> str:
@@ -386,5 +386,4 @@ def load_bundled(name: str) -> str:
     known = bundled_names()
     if name not in known:
         raise ValueError(f'unknown bundled scenario {name!r}; bundled: {", ".join(known)}')
-    from importlib import resources
-    return resources.files('coevents').joinpath('data').joinpath(name).read_text(encoding='utf-8')
+    return _data_folder().joinpath(name).read_text(encoding='utf-8')

@@ -129,8 +129,6 @@ class SchemeResult(_Record):
     even.
     """
 
-    __match_args__ = ('scheme', 'coevents', 'total_complexity', 'generating_sets',
-                      'uncovered_by_unital', 'diagnostics')
     _uncompared = ('diagnostics',)
 
     def __init__(self, scheme: str, coevents: tuple[Coevent, ...],

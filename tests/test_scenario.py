@@ -1,7 +1,9 @@
 """Scenario parsing with positioned diagnostics, rendering, bundled files."""
 
+import dataclasses
 import hashlib
 import json
+import pprint
 import random
 
 import pytest
@@ -428,6 +430,14 @@ def test_records_keep_their_value_semantics(record, fields, text, bare, bare_tex
         with pytest.raises(AttributeError):
             delattr(record, name)
     assert [getattr(record, name) for name in fields] == values
+    # dataclasses' helpers still take them: fields in order, counters not compared
+    assert [(f.name, f.compare) for f in dataclasses.fields(record)] == [
+        (name, name != 'diagnostics') for name in fields]
+    assert dataclasses.is_dataclass(record) and dataclasses.replace(record) == record
+    swapped = dataclasses.replace(record, **{name: getattr(other, name) for name in fields})
+    assert type(swapped) is cls and repr(swapped) == repr(other)
+    # pprint reads __dataclass_params__ of anything is_dataclass accepts
+    assert pprint.pformat(record, width=200) == text
 
 
 class TestRenderResult:
