@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
-from pathlib import Path
 
 from .coevent import parse_coevent
 from .events import parse_event, render_event
 from .schemes import ideal_scheme, infer, linear_scheme, multiplicative_scheme
-from .scenario import (ScenarioError, bundled_names, load_bundled,
+from .scenario import (ParseDiagnostic, ScenarioError, bundled_names, load_bundled,
                        parse_scenario, render_result)
 
 __all__ = ['main']
@@ -104,15 +104,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _scenario_text(argument: str) -> str:
-    path = Path(argument)
-    if path.is_file():
-        return path.read_text(encoding='utf-8-sig')  # tolerate a byte-order mark
+    if not os.path.isfile(argument):
+        try:
+            return load_bundled(argument)
+        except ValueError:
+            known = ', '.join(bundled_names())
+            raise OSError(f'no such scenario file or bundled name: {argument!r} '
+                          f'(bundled: {known})') from None
+    with open(argument, 'rb') as file:  # decoded in one call, so an error has its true offset
+        data = file.read()
     try:
-        return load_bundled(argument)
-    except ValueError:
-        known = ', '.join(bundled_names())
-        raise OSError(f'no such scenario file or bundled name: {argument!r} '
-                      f'(bundled: {known})') from None
+        return data.decode('utf-8-sig')  # tolerate a byte-order mark
+    except UnicodeDecodeError as exc:  # at the bad byte, placed as parse_scenario places it
+        before = exc.object[:exc.start].decode().replace('\r\n', '\n').replace('\r', '\n')
+        line, column = before.count('\n') + 1, len(before) - before.rfind('\n')
+        raise ScenarioError([ParseDiagnostic(line, column, f'byte {exc.object[exc.start]:#04x} '
+                                             f'is not UTF-8 text ({exc.reason})')]) from None
 
 
 def _solve(scenario, args):

@@ -31,11 +31,11 @@ e.g. ``a*+b*+c*`` or ``a*b*``.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
 from .events import (Event, ParseError, SampleSpace, _check_guard,
-                     _check_same_space, _label_bit, _member_bits, _sum_terms,
-                     bit_indices, canonical_key)
+                     _check_same_space, _label_bit, _member_bits, _refuse_change,
+                     _sum_terms, bit_indices, canonical_key)
 from .measure import PreclusionSet
 
 __all__ = [
@@ -101,14 +101,19 @@ class Coevent:
         masks: set[int] = set()
         for ev in monomials:
             masks ^= {_member_bits(space, ev, 'monomial')}
-        self.space = space
-        self.masks = frozenset(masks)
+        object.__setattr__(self, 'space', space)
+        object.__setattr__(self, 'masks', frozenset(masks))
+
+    __setattr__ = __delattr__ = _refuse_change
+
+    def __reduce__(self) -> tuple:
+        return type(self)._raw, (self.space, self.masks)
 
     @classmethod
     def _raw(cls, space: SampleSpace, masks: frozenset[int]) -> Coevent:
         co = object.__new__(cls)
-        co.space = space
-        co.masks = masks
+        object.__setattr__(co, 'space', space)
+        object.__setattr__(co, 'masks', masks)
         return co
 
     @classmethod

@@ -15,12 +15,13 @@ belongs to; combining events from different spaces raises
 confusion is the dominant mistake in this kind of code.  Two spaces with the
 same ordered labels compare equal and are interchangeable.
 
-Five helpers hold rules that the other modules use rather than repeat:
+Six helpers hold rules that the other modules use rather than repeat:
 :func:`_member_bits` (an argument is an Event of the given space, else
 ``TypeError`` or :class:`SpaceMismatchError`),
 :func:`_check_same_space` (two operands share one space),
 :func:`_label_problems` (the history-label rule, for spaces and scenarios),
-:func:`_check_guard` (every size guard's refusal, in one wording) and
+:func:`_check_guard` (every size guard's refusal, in one wording),
+:func:`_refuse_change` (no field of a record, event or coevent is set or deleted) and
 :class:`_Record` (the equality, hash, repr and immutability of the records).
 
 Event text syntax (shared with scenario files and the CLI): ``{a c}`` lists
@@ -34,8 +35,8 @@ from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Iterable, Iterator
 from operator import attrgetter
-from typing import Iterable, Iterator
 
 __all__ = [
     'SPACE_GUARD',
@@ -133,6 +134,11 @@ def _dataclass_twin(cls: type) -> type:
         for f in cls.__match_args__], frozen=True)
 
 
+def _refuse_change(self, name: str, *value: object) -> None:
+    """``__setattr__`` and ``__delattr__`` of the records, events and coevents."""
+    raise AttributeError(f'cannot {"assign to" if value else "delete"} field {name!r}')
+
+
 class _Record:
     """Base of the immutable records, whose fields are the parameters of ``__init__``:
     ``==`` (same class only) and ``hash`` over the fields but `_uncompared`, ``repr``
@@ -161,11 +167,7 @@ class _Record:
         shown = ', '.join(f'{f}={getattr(self, f)!r}' for f in self.__match_args__)
         return f'{type(self).__qualname__}({shown})'
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f'cannot assign to field {name!r}')
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f'cannot delete field {name!r}')
+    __setattr__ = __delattr__ = _refuse_change
 
 
 def _label_problems(labels: Iterable[object]) -> Iterator[tuple[int, str]]:
@@ -263,8 +265,13 @@ class Event:
             raise TypeError(f'bitmask must be an int, got {type(bits).__name__}')
         if not 0 <= bits < (1 << space.size):
             raise ValueError(f'bitmask {bits:#x} out of range for a space of size {space.size}')
-        self.space = space
-        self.bits = bits
+        object.__setattr__(self, 'space', space)
+        object.__setattr__(self, 'bits', bits)
+
+    __setattr__ = __delattr__ = _refuse_change
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.space, self.bits)
 
     @property
     def indices(self) -> tuple[int, ...]:

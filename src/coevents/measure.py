@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Iterable, Iterator, Sequence, Union
 
 from .events import (Event, ParseError, SampleSpace, _check_guard, _member_bits,
                      _Record, bit_indices, canonical_key)
@@ -50,8 +50,6 @@ __all__ = [
 ]
 
 MEASURE_GUARD = 14  # events walked are at most 2^this, as are nulls listed
-
-_Scalar = Union['GaussianRational', Fraction, int]
 
 
 class GaussianRational(_Record):
@@ -76,7 +74,7 @@ def _exact(part: object) -> Fraction:
     raise TypeError(f'cannot interpret {type(part).__name__} as a Gaussian rational')
 
 
-def _gaussian(value: _Scalar) -> GaussianRational:
+def _gaussian(value: GaussianRational | Fraction | int) -> GaussianRational:
     return value if isinstance(value, GaussianRational) else GaussianRational(value)
 
 
@@ -138,7 +136,8 @@ class DecoherenceMatrix:
 
     __slots__ = ('space', '_entries', '_blocks', '_preclusions', '_positive')
 
-    def __init__(self, space: SampleSpace, entries: Sequence[Sequence[_Scalar]] | None,
+    def __init__(self, space: SampleSpace,
+                 entries: Sequence[Sequence[GaussianRational | Fraction | int]] | None,
                  _blocks: tuple | None = None):
         self.space = space
         self._blocks = _blocks  # per block ((index, re, im), ...) and scale, if from amplitudes
@@ -155,7 +154,8 @@ class DecoherenceMatrix:
             self._entries = rows
 
     @classmethod
-    def from_amplitudes(cls, space: SampleSpace, amplitudes: Sequence[_Scalar],
+    def from_amplitudes(cls, space: SampleSpace,
+                        amplitudes: Sequence[GaussianRational | Fraction | int],
                         blocks: Iterable[Event] | None = None) -> 'DecoherenceMatrix':
         """D(γ,γ') = α_γ conj(α_γ'), nonzero only within a block.
 

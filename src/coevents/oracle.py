@@ -19,7 +19,7 @@ tables) for full enumeration, ``CLOSURE_GUARD`` = 3 for closure and cover.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .coevent import Coevent
 from .events import SampleSpace, _check_guard

@@ -27,7 +27,8 @@ original parse.
 from __future__ import annotations
 
 import functools
-from typing import Iterable
+import os
+from collections.abc import Iterable
 
 from .coevent import Coevent
 from .events import (_TOKEN, Event, ParseError, SampleSpace, _label_bit,
@@ -369,21 +370,19 @@ def _result_document(result: SchemeResult) -> dict:
     return document
 
 
-def _data_folder():
-    """The folder of bundled scenarios, as an importlib.resources traversable."""
-    from importlib import resources  # here, so that `import coevents` has no inspect (3.12+)
-    return resources.files('coevents').joinpath('data')
+_DATA = os.path.join(os.path.dirname(__file__), 'data')  # the bundled scenario files
 
 
 @functools.cache  # the package data does not change while it runs
 def bundled_names() -> tuple[str, ...]:
-    """Names of the scenario files shipped with the package."""
-    return tuple(sorted(entry.name for entry in _data_folder().iterdir() if entry.is_file()))
+    """Names of the files in the package's ``data`` folder, sorted."""
+    return tuple(sorted(n for n in os.listdir(_DATA) if os.path.isfile(os.path.join(_DATA, n))))
 
 
 def load_bundled(name: str) -> str:
-    """Text of a bundled scenario file; `name` must be one of `bundled_names()`."""
+    """Text of bundled file `name`, which must be in `bundled_names()`: no other path is read."""
     known = bundled_names()
     if name not in known:
         raise ValueError(f'unknown bundled scenario {name!r}; bundled: {", ".join(known)}')
-    return _data_folder().joinpath(name).read_text(encoding='utf-8')
+    with open(os.path.join(_DATA, name), encoding='utf-8') as file:
+        return file.read()

@@ -67,9 +67,9 @@ ideal
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import product
 from math import prod
-from typing import Iterable, Mapping, Sequence
 
 from . import measure
 from .coevent import Coevent, _anf, _lacking, monomial

@@ -274,6 +274,18 @@ def test_scenario_file_with_byte_order_mark(tmp_path, capsys, argv):
     assert run(capsys, argv[0], str(f), *argv[1:])[:2] == bundled[:2]
 
 
+@pytest.mark.parametrize('data, diagnostic', [
+    (b'histories a b\n\xffprecluded {a}\n',
+     '2:1: error: byte 0xff is not UTF-8 text (invalid start byte)'),
+    (b'\xef\xbb\xbftitle \xc3\xa9\rhistories a b\r\nprecluded {\xe2\x82}\n',
+     '3:12: error: byte 0xe2 is not UTF-8 text (invalid continuation byte)'),
+], ids=['line-start', 'after-bom-and-old-line-ends'])
+def test_scenario_file_not_utf8_reports_its_position(tmp_path, capsys, data, diagnostic):
+    f = tmp_path / 'scn'
+    f.write_bytes(data)
+    assert run(capsys, 'preclusions', str(f)) == (2, '', diagnostic + '\n')
+
+
 def test_malformed_scenario_reports_diagnostics(tmp_path, capsys):
     f = tmp_path / 'scn'
     f.write_text('histories a b\namplitude a 1/0\namplitude b 1\nbogus\n')
@@ -446,18 +458,28 @@ def test_module_invocation():
     assert proc.stdout == '{}\n{a c}\n{b c}\n'
 
 
-def test_cold_start_defers_the_oracle_and_json():
+def test_cold_start_defers_the_oracle_and_json(tmp_path):
     # modules the site startup loads count for the bare interpreter as well
     listing = 'import sys; print(*sys.modules)'
     bare, loaded = (set(subprocess.run([sys.executable, '-c', code], capture_output=True,
                                        text=True, env=CHILD_ENV, check=True).stdout.split())
                     for code in (listing, 'import coevents, coevents.cli; ' + listing))
     assert 'coevents.cli' in loaded
-    unused = {'dataclasses', 'inspect', 'json', 'coevents.oracle'} & (loaded - bare)
-    assert not unused
-    # a fresh process still loads them when asked: golden output, exit code included
     golden = Path(__file__).resolve().parent / 'golden' / 'cli.json'
     cases = {case['id']: case for case in json.loads(golden.read_text())['cases']}
+    # a whole bundled-name run from elsewhere; -X importtime lists what it imports
+    proc = subprocess.run([sys.executable, '-X', 'importtime', '-m', 'coevents',
+                           *cases['three_slit/preclusions']['argv']],
+                          capture_output=True, text=True, env=CHILD_ENV, cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (0, cases['three_slit/preclusions']['stdout'])
+    timings = proc.stderr.splitlines()
+    assert all(line.startswith('import time:') for line in timings)
+    run_loaded = {line.rsplit('|', 1)[1].strip() for line in timings}
+    assert 'coevents.cli' in run_loaded
+    unused = {'dataclasses', 'inspect', 'json', 'coevents.oracle', 'importlib.resources',
+              'zipfile', 'typing', 'pathlib'}
+    assert not unused & (loaded - bare) and not unused & (run_loaded - bare)
+    # a fresh process still loads them when asked: golden output, exit code included
     for name in ('three_slit/check-oracle', 'three_slit/solve-ideal-json'):
         case = cases[name]
         assert fresh_process(case['argv']) == (case['exit'], case['stdout'], case['stderr'])

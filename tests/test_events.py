@@ -1,7 +1,9 @@
 """Boolean ring structure of events, the event text syntax, and every size guard."""
 
+import copy
 import itertools
 import operator
+import pickle
 import time
 
 import pytest
@@ -331,3 +333,22 @@ def test_parse_error_positions(abc):
     with pytest.raises(ParseError) as info:
         parse_event('a+qq', abc)
     assert info.value.position == 2
+
+
+@pytest.mark.parametrize('make', [
+    lambda space: space.event('ab'),
+    lambda space: Coevent(space, [space.atom('a'), space.event('bc')]),
+], ids=['Event', 'Coevent'])
+def test_events_and_coevents_refuse_assignment(abc, make):
+    value = make(abc)
+    table = {value: 'kept'}
+    for name in type(value).__slots__:
+        kept = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, 3)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is kept
+    assert table[value] == 'kept'
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
