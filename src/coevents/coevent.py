@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Callable, Iterable
+from operator import attrgetter
 
 from .events import (Event, ParseError, SampleSpace, _check_guard,
-                     _check_same_space, _label_bit, _member_bits, _refuse_change,
-                     _sum_terms, bit_indices, canonical_key)
+                     _check_same_space, _label_bit, _member_bits, _sum_terms, _Value,
+                     bit_indices, canonical_key)
 from .measure import PreclusionSet
 
 __all__ = [
@@ -86,7 +87,7 @@ def _anf(table: int, n: int) -> int:
     return table
 
 
-class Coevent:
+class Coevent(_Value):
     """Canonical multilinear polynomial over a space's classical coevents.
 
     `masks` is the frozen set of monomial bitmasks.  Instances are immutable
@@ -95,6 +96,7 @@ class Coevent:
     """
 
     __slots__ = ('space', 'masks')
+    _compared = attrgetter('space', 'masks')
 
     def __init__(self, space: SampleSpace, monomials: Iterable[Event] = ()):
         """Build from monomial events; duplicates cancel in pairs (Z2)."""
@@ -103,11 +105,6 @@ class Coevent:
             masks ^= {_member_bits(space, ev, 'monomial')}
         object.__setattr__(self, 'space', space)
         object.__setattr__(self, 'masks', frozenset(masks))
-
-    __setattr__ = __delattr__ = _refuse_change
-
-    def __reduce__(self) -> tuple:
-        return type(self)._raw, (self.space, self.masks)
 
     @classmethod
     def _raw(cls, space: SampleSpace, masks: frozenset[int]) -> Coevent:
@@ -239,13 +236,6 @@ class Coevent:
             if parity:
                 return False
         return True
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Coevent)
-                and self.space == other.space and self.masks == other.masks)
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.masks))
 
     def __str__(self) -> str:
         return render_coevent(self)

@@ -21,8 +21,8 @@ Six helpers hold rules that the other modules use rather than repeat:
 :func:`_check_same_space` (two operands share one space),
 :func:`_label_problems` (the history-label rule, for spaces and scenarios),
 :func:`_check_guard` (every size guard's refusal, in one wording),
-:func:`_refuse_change` (no field of a record, event or coevent is set or deleted) and
-:class:`_Record` (the equality, hash, repr and immutability of the records).
+:class:`_Value` (the equality, hash, immutability and pickling of every value type) and
+:class:`_Record` (the fields, repr and dataclass view of the records).
 
 Event text syntax (shared with scenario files and the CLI): ``{a c}`` lists
 the member labels inside braces, ``{}`` is the empty event.  Input also
@@ -134,16 +134,36 @@ def _dataclass_twin(cls: type) -> type:
         for f in cls.__match_args__], frozen=True)
 
 
-def _refuse_change(self, name: str, *value: object) -> None:
-    """``__setattr__`` and ``__delattr__`` of the records, events and coevents."""
-    raise AttributeError(f'cannot {"assign to" if value else "delete"} field {name!r}')
+class _Value:
+    """Base of the immutable values: ``==`` (same class only) and ``hash`` over the
+    class's ``_compared(self)``.  No attribute can be set or deleted, so ``__init__``
+    stores through ``object.__setattr__`` (or ``vars``), and so does ``__setstate__``,
+    which rebuilds a pickled or copied value from its ``__dict__`` or ``(None, slots)``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared(self) == other._compared(other)
+
+    def __hash__(self) -> int:
+        return hash(self._compared(self))
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f'cannot {"assign to" if value else "delete"} field {name!r}')
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state: dict | tuple) -> None:
+        for name, value in (state if isinstance(state, dict) else state[1]).items():
+            object.__setattr__(self, name, value)
 
 
-class _Record:
+class _Record(_Value):
     """Base of the immutable records, whose fields are the parameters of ``__init__``:
-    ``==`` (same class only) and ``hash`` over the fields but `_uncompared`, ``repr``
-    over all of them; no attribute can be set or deleted, so ``__init__`` stores
-    through ``vars``."""
+    compared and hashed over all fields but `_uncompared`, shown by ``repr`` with all
+    of them; ``__init__`` stores through ``vars``."""
 
     _uncompared: tuple[str, ...] = ()
     __dataclass_fields__ = _DataclassView()
@@ -155,19 +175,9 @@ class _Record:
         # a tuple, as every record compares two or more fields
         cls._compared = attrgetter(*[f for f in cls.__match_args__ if f not in cls._uncompared])
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._compared(self) == other._compared(other)
-
-    def __hash__(self) -> int:
-        return hash(self._compared(self))
-
     def __repr__(self) -> str:
         shown = ', '.join(f'{f}={getattr(self, f)!r}' for f in self.__match_args__)
         return f'{type(self).__qualname__}({shown})'
-
-    __setattr__ = __delattr__ = _refuse_change
 
 
 def _label_problems(labels: Iterable[object]) -> Iterator[tuple[int, str]]:
@@ -186,10 +196,11 @@ def _label_problems(labels: Iterable[object]) -> Iterator[tuple[int, str]]:
         seen.add(label)
 
 
-class SampleSpace:
+class SampleSpace(_Value):
     """Ordered finite set of history labels, the carrier of an event algebra."""
 
     __slots__ = ('names', '_index')
+    _compared = attrgetter('names')
 
     def __init__(self, labels: Iterable[str]):
         names = tuple(labels)
@@ -199,8 +210,8 @@ class SampleSpace:
         problem = next(_label_problems(names), None)
         if problem is not None:
             raise ValueError(problem[1])
-        self.names = names
-        self._index = {name: i for i, name in enumerate(names)}
+        object.__setattr__(self, 'names', names)
+        object.__setattr__(self, '_index', {name: i for i, name in enumerate(names)})
 
     @property
     def size(self) -> int:
@@ -209,12 +220,6 @@ class SampleSpace:
 
     def __len__(self) -> int:
         return len(self.names)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SampleSpace) and self.names == other.names
-
-    def __hash__(self) -> int:
-        return hash(self.names)
 
     def __repr__(self) -> str:
         return f'SampleSpace({list(self.names)!r})'
@@ -255,10 +260,11 @@ class SampleSpace:
             yield Event(self, bits)
 
 
-class Event:
+class Event(_Value):
     """Subset of a sample space; an element of its Boolean ring."""
 
     __slots__ = ('space', 'bits')
+    _compared = attrgetter('space', 'bits')
 
     def __init__(self, space: SampleSpace, bits: int):
         if not isinstance(bits, int):
@@ -267,11 +273,6 @@ class Event:
             raise ValueError(f'bitmask {bits:#x} out of range for a space of size {space.size}')
         object.__setattr__(self, 'space', space)
         object.__setattr__(self, 'bits', bits)
-
-    __setattr__ = __delattr__ = _refuse_change
-
-    def __reduce__(self) -> tuple:
-        return type(self), (self.space, self.bits)
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -291,13 +292,6 @@ class Event:
 
     def __contains__(self, label: str) -> bool:
         return bool(self.bits >> self.space.index(label) & 1)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Event)
-                and self.space == other.space and self.bits == other.bits)
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.bits))
 
     def __add__(self, other: Event) -> Event:
         """Symmetric difference: the ring sum, with A + A = 0."""

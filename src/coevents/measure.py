@@ -36,9 +36,10 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import attrgetter
 
 from .events import (Event, ParseError, SampleSpace, _check_guard, _member_bits,
-                     _Record, bit_indices, canonical_key)
+                     _Record, _Value, bit_indices, canonical_key)
 
 __all__ = [
     'MEASURE_GUARD',
@@ -314,19 +315,20 @@ def _subset_sums(terms: Sequence[tuple[int, int, int]]) -> dict:
     return table
 
 
-class PreclusionSet:
+class PreclusionSet(_Value):
     """The events declared impossible; always contains the empty event.
 
     Equality compares the space and the event family.
     """
 
     __slots__ = ('space', 'masks', '_events')
+    _compared = attrgetter('space', 'masks')
 
     def __init__(self, space: SampleSpace, events: Iterable[Event] = ()):
-        self.space = space
-        self.masks = frozenset([0, *(_member_bits(space, ev, 'precluded event')
-                                     for ev in events)])
-        self._events: tuple[Event, ...] | None = None
+        masks = frozenset([0, *(_member_bits(space, ev, 'precluded event') for ev in events)])
+        object.__setattr__(self, 'space', space)
+        object.__setattr__(self, 'masks', masks)
+        object.__setattr__(self, '_events', None)
 
     @classmethod
     def explicit(cls, space: SampleSpace, events: Iterable[Event]) -> 'PreclusionSet':
@@ -337,7 +339,7 @@ class PreclusionSet:
         """Member events sorted by (size, member indices); sorted once."""
         if self._events is None:
             order = sorted(self.masks, key=canonical_key)
-            self._events = tuple(Event(self.space, m) for m in order)
+            object.__setattr__(self, '_events', tuple(Event(self.space, m) for m in order))
         return self._events
 
     def __contains__(self, event: Event) -> bool:
@@ -349,13 +351,6 @@ class PreclusionSet:
 
     def __len__(self) -> int:
         return len(self.masks)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, PreclusionSet)
-                and self.space == other.space and self.masks == other.masks)
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.masks))
 
     def __repr__(self) -> str:
         inner = ', '.join(str(ev) for ev in self.events)

@@ -146,9 +146,19 @@ def test_guard_trips_at_limit_plus_one(site, monkeypatch):
 
 
 def test_space_structural_equality(abc):
-    assert abc == SampleSpace('abc')
+    twin = SampleSpace('abc')
+    assert abc == twin and abc is not twin
     assert abc != SampleSpace('acb')  # order matters
-    assert hash(abc) == hash(SampleSpace('abc'))
+    assert hash(abc) == hash(twin)
+    # values on two distinct but equal spaces are equal and hash equal
+    for make in (lambda space: space.event('ac'),
+                 lambda space: Coevent(space, [space.atom('a'), space.event('bc')]),
+                 lambda space: PreclusionSet(space, [space.atom('b')])):
+        assert make(abc) == make(twin) and hash(make(abc)) == hash(make(twin))
+    # a value never equals one of another class, even holding the same data
+    ev = abc.event('ac')
+    assert ev != ev.bits and abc != abc.names and Coevent(abc, [ev]) != ev
+    assert PreclusionSet(abc) != Coevent.one(abc)  # both are (abc, {0})
 
 
 def test_bitmask_must_be_an_int():
@@ -335,11 +345,19 @@ def test_parse_error_positions(abc):
     assert info.value.position == 2
 
 
+def _events_read(preclusions):
+    preclusions.events  # fills the cached _events slot
+    return preclusions
+
+
 @pytest.mark.parametrize('make', [
+    lambda space: space,
     lambda space: space.event('ab'),
     lambda space: Coevent(space, [space.atom('a'), space.event('bc')]),
-], ids=['Event', 'Coevent'])
-def test_events_and_coevents_refuse_assignment(abc, make):
+    lambda space: PreclusionSet(space, [space.atom('a')]),
+    lambda space: _events_read(PreclusionSet(space, [space.atom('a')])),
+], ids=['SampleSpace', 'Event', 'Coevent', 'PreclusionSet', 'PreclusionSet-events-read'])
+def test_values_refuse_assignment(abc, make):
     value = make(abc)
     table = {value: 'kept'}
     for name in type(value).__slots__:

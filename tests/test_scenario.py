@@ -1,8 +1,10 @@
 """Scenario parsing with positioned diagnostics, rendering, bundled files."""
 
+import copy
 import dataclasses
 import hashlib
 import json
+import pickle
 import pprint
 import random
 
@@ -430,6 +432,10 @@ def test_records_keep_their_value_semantics(record, fields, text, bare, bare_tex
         with pytest.raises(AttributeError):
             delattr(record, name)
     assert [getattr(record, name) for name in fields] == values
+    # pickle, copy and deepcopy rebuild an equal record, uncompared fields too
+    for copied in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(copied) is cls and copied == record and hash(copied) == hash(record)
+        assert repr(copied) == text
     # dataclasses' helpers still take them: fields in order, counters not compared
     assert [(f.name, f.compare) for f in dataclasses.fields(record)] == [
         (name, name != 'diagnostics') for name in fields]
