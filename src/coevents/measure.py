@@ -132,7 +132,7 @@ def first_non_hermitian(rows: Sequence[Sequence[GaussianRational]]) -> tuple[int
                  if rows[i][j] != rows[j][i].conjugate()), None)
 
 
-class DecoherenceMatrix:
+class DecoherenceMatrix(_Value):
     """Hermitian matrix D over a space, defining μ(A) = Σ_{γ,γ' ∈ A} D(γ,γ')."""
 
     __slots__ = ('space', '_entries', '_blocks', '_preclusions', '_positive')
@@ -140,10 +140,11 @@ class DecoherenceMatrix:
     def __init__(self, space: SampleSpace,
                  entries: Sequence[Sequence[GaussianRational | Fraction | int]] | None,
                  _blocks: tuple | None = None):
-        self.space = space
-        self._blocks = _blocks  # per block ((index, re, im), ...) and scale, if from amplitudes
-        self._preclusions: PreclusionSet | None = None
-        self._entries = self._positive = None  # from amplitudes: built, or True, on first use
+        object.__setattr__(self, 'space', space)
+        # per block ((index, re, im), ...) and scale, if from amplitudes
+        object.__setattr__(self, '_blocks', _blocks)
+        for cache in ('_entries', '_preclusions', '_positive'):  # each filled on first use
+            object.__setattr__(self, cache, None)
         if _blocks is None:
             n = space.size
             rows = tuple(tuple(_gaussian(e) for e in row) for row in entries)
@@ -152,7 +153,7 @@ class DecoherenceMatrix:
             bad = first_non_hermitian(rows)
             if bad is not None:
                 raise ValueError(f'matrix is not Hermitian at {bad}')
-            self._entries = rows
+            object.__setattr__(self, '_entries', rows)
 
     @classmethod
     def from_amplitudes(cls, space: SampleSpace,
@@ -194,13 +195,13 @@ class DecoherenceMatrix:
                     for j, c, d in terms:
                         rows[i][j] = GaussianRational(Fraction(a * c + b * d, scale * scale),
                                                       Fraction(b * c - a * d, scale * scale))
-            self._entries = tuple(map(tuple, rows))
+            object.__setattr__(self, '_entries', tuple(map(tuple, rows)))
         return self._entries
 
     def entry(self, i: int, j: int) -> GaussianRational:
         return self.entries[i][j]
 
-    def __eq__(self, other: object) -> bool:
+    def __eq__(self, other: object) -> bool:  # unlike _Value's, subclasses compare equal
         return (isinstance(other, DecoherenceMatrix)
                 and self.space == other.space and self.entries == other.entries)
 
@@ -237,7 +238,7 @@ class DecoherenceMatrix:
                 null = [ev for ev in self.space.events() if self.measure(ev) == 0]
             else:
                 null = [Event(self.space, m) for m in self._block_nulls()]
-            self._preclusions = PreclusionSet(self.space, null)
+            object.__setattr__(self, '_preclusions', PreclusionSet(self.space, null))
         return self._preclusions
 
     def _block_nulls(self) -> list[int]:
@@ -263,7 +264,8 @@ class DecoherenceMatrix:
         pivot, or a zero pivot with a nonzero entry left in its row, fails.
         """
         if self._positive is None:
-            self._positive = self._blocks is not None or _eliminates(self._entries)
+            object.__setattr__(self, '_positive',
+                               self._blocks is not None or _eliminates(self._entries))
         return self._positive
 
     def null_absorption_holds(self) -> bool:

@@ -53,16 +53,21 @@ ideal
     is one 2^k-bit column, and the columns are summed by ripple carry into
     a few bit planes of complexities, whose weight classes also give the
     bound: a list, built once, pairs each weight with the elements held by
-    candidates no heavier.  Truth tables (one 2^n-bit integer each),
-    their transforms and the tie-break order are built only for the weight
-    classes the search reaches: a few hundred of up to 32,767 candidates at
-    n = 4.  Both are linear in c, so each joins two half-table entries, for
-    the low k // 2 bits of c and the rest.  Polynomials as monomial sets are
-    built, and rendered once, only for the members of optimal sets.  All
-    minimum-weight generating sets are found; the unital members form the
-    result and the full sets are reported alongside, with a flag listing any
-    non-precluded events the unital members fail to cover (the complement
-    of the union of their truth tables).
+    candidates no heavier.  A class is scanned by ascending tuples of
+    monomial masks.  In one class no tuple is a proper prefix of another,
+    as the extra monomials would add degree, so the set holding the lowest
+    differing monomial comes first: descending order of the transform with
+    its 2^n bits reversed, an order that holds within one class only.
+    Truth tables (one 2^n-bit integer each) and reversed transforms are
+    built only for the weight classes the search reaches: a few hundred of
+    up to 32,767 candidates at n = 4.  Both are linear in c, so each joins
+    two half-table entries, for the low k // 2 bits of c and the rest.
+    Polynomials as monomial sets are built, and rendered once, only for the
+    members of optimal sets.  All minimum-weight generating sets are found;
+    the unital members form the result and the full sets are reported
+    alongside, with a flag listing any non-precluded events the unital
+    members fail to cover (the complement of the union of their truth
+    tables).
 """
 
 from __future__ import annotations
@@ -98,19 +103,6 @@ ALWAYS_TRUE = 'always-true'
 ALWAYS_FALSE = 'always-false'
 CONTINGENT = 'contingent'
 VACUOUS = 'vacuous'
-
-_SWAP_DIGITS = str.maketrans('01', '10')
-
-
-def _anf_order(anf: int) -> str:
-    """Sort key ordering monomial sets as the tuples of their masks do.
-
-    The binary digits of `anf`, lowest first, with 0 and 1 swapped: at the
-    first mask in only one of two sets, the set holding it reads '0' where
-    the other reads '1', unless the other set ends there and so is a prefix.
-    """
-    return bin(anf)[:1:-1].translate(_SWAP_DIGITS)
-
 
 class SchemeResult(_Record):
     """Outcome of one scheme solve.
@@ -339,8 +331,9 @@ def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
 
     # candidates: every nonzero preclusive coevent, i.e. every nonzero truth
     # table inside the universe, scanned by complexity and then by ascending
-    # monomial masks.  All are weighed at once; a weight class becomes truth
-    # tables only when the scan first reaches it.
+    # monomial masks: within one class, by descending bit-reversed ANF (see
+    # the module docstring).  All are weighed at once; a weight class becomes
+    # truth tables only when the scan first reaches it.
     elements = list(bit_indices(universe))
     k = len(elements)
     classes = _weight_classes(elements, n)
@@ -353,12 +346,13 @@ def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
                            if mask & ~lacking)
             reach.append((w, reached))
     # a candidate's truth table and ANF are GF(2)-linear in its bits, so
-    # both come from two half-tables, over its low h bits and its high bits
+    # both come from two half-tables, over its low h bits and its high bits;
+    # the ANF is kept bit-reversed over the 2^n monomials, itself linear
     h = k // 2
     low = (1 << h) - 1
     tt_lo, tt_hi, anf_lo, anf_hi = [0], [0], [0], [0]
     for j, e in enumerate(elements):
-        single = _anf(1 << e, n)
+        single = int(f'{_anf(1 << e, n):0{1 << n}b}'[::-1], 2)
         tts, anfs = (tt_lo, anf_lo) if j < h else (tt_hi, anf_hi)
         tts.extend([t | 1 << e for t in tts])
         anfs.extend([a ^ single for a in anfs])
@@ -376,8 +370,8 @@ def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
                            and weight + pending[-1][0] > best_weight):
             return False
         w, mask = pending.pop()
-        block = sorted((_anf_order(anf_lo[c & low] ^ anf_hi[c >> h]),
-                        tt_lo[c & low] | tt_hi[c >> h]) for c in bit_indices(mask))
+        block = sorted(((anf_lo[c & low] ^ anf_hi[c >> h], tt_lo[c & low] | tt_hi[c >> h])
+                        for c in bit_indices(mask)), reverse=True)
         covers.extend(tt for _, tt in block)
         weights.extend([w] * len(block))
         return True

@@ -350,13 +350,27 @@ def _events_read(preclusions):
     return preclusions
 
 
+MATRIX_ENTRIES = [[1, -1, 0], [-1, 1, 0], [0, 0, 1]]
+
+
+def _preclusions_read(matrix):
+    assert 0b011 in matrix.preclusions().masks  # fills the cached _preclusions slot
+    return matrix
+
+
 @pytest.mark.parametrize('make', [
     lambda space: space,
     lambda space: space.event('ab'),
     lambda space: Coevent(space, [space.atom('a'), space.event('bc')]),
     lambda space: PreclusionSet(space, [space.atom('a')]),
     lambda space: _events_read(PreclusionSet(space, [space.atom('a')])),
-], ids=['SampleSpace', 'Event', 'Coevent', 'PreclusionSet', 'PreclusionSet-events-read'])
+    lambda space: DecoherenceMatrix.from_amplitudes(space, [1, -1, 1]),
+    lambda space: _preclusions_read(DecoherenceMatrix.from_amplitudes(space, [1, -1, 1])),
+    lambda space: DecoherenceMatrix(space, MATRIX_ENTRIES),
+    lambda space: _preclusions_read(DecoherenceMatrix(space, MATRIX_ENTRIES)),
+], ids=['SampleSpace', 'Event', 'Coevent', 'PreclusionSet', 'PreclusionSet-events-read',
+        'DecoherenceMatrix-amplitudes', 'DecoherenceMatrix-amplitudes-preclusions-read',
+        'DecoherenceMatrix-entries', 'DecoherenceMatrix-entries-preclusions-read'])
 def test_values_refuse_assignment(abc, make):
     value = make(abc)
     table = {value: 'kept'}

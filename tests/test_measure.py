@@ -774,7 +774,7 @@ class MeasuredMatrix(DecoherenceMatrix):
 
     def __init__(self, space, entries):
         super().__init__(space, entries)
-        self.measured = {}
+        object.__setattr__(self, 'measured', {})
 
     def measure(self, event):
         self.measured[event.bits] = value = super().measure(event)

@@ -13,8 +13,7 @@ from coevents.coevent import Coevent, _anf, _lacking
 from coevents.events import bit_indices, canonical_key
 from coevents.measure import PreclusionSet
 from coevents.scenario import render_result
-from coevents.schemes import (SchemeResult, _anf_order, _transpose, _universe,
-                              _weight_classes)
+from coevents.schemes import SchemeResult, _transpose, _universe, _weight_classes
 
 
 def explicit(space, *event_texts):
@@ -137,6 +136,16 @@ def _members(mask):
     return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+_BYTE_INDICES = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
+_HIGH_BYTE_INDICES = [tuple(8 + i for i in indices) for indices in _BYTE_INDICES]
+
+
+def _monomial_tuple(anf):
+    """The ascending monomial masks of a 16-bit ANF (n <= 4) as a tuple of bit
+    positions: the candidate order the ideal search must follow."""
+    return _BYTE_INDICES[anf & 255] + _HIGH_BYTE_INDICES[anf >> 8]
+
+
 def full_scan_ideal(preclusions):
     """Reference ideal scheme: weigh and sort every candidate table, then search.
 
@@ -158,7 +167,7 @@ def full_scan_ideal(preclusions):
     while tt:
         anf = _anf(tt, n)
         weight = sum(map(int.bit_count, map(anf.__and__, containing)))
-        candidates.append((weight, _anf_order(anf), tt))
+        candidates.append((weight, _monomial_tuple(anf), tt))
         tt = (tt - 1) & universe
     candidates.sort()
     weights = [c[0] for c in candidates]
@@ -591,11 +600,27 @@ class TestIdealCorpus:
         assert seen == (1 << (1 << 15)) - 2
 
     def test_candidate_order_key(self):
-        from coevents.schemes import _anf_order
+        # the solver scans a weight class by descending ANF with its 2^n
+        # bits reversed; within one class that is the monomial tuple order
         rng = random.Random(8)
-        anfs = list(range(1, 256)) + [rng.getrandbits(16) or 1 for _ in range(500)]
-        assert (sorted(anfs, key=_anf_order)
-                == sorted(anfs, key=lambda a: tuple(_members(a))))
+        anfs = set(range(1, 256)) | {rng.getrandbits(16) or 1 for _ in range(500)}
+        assert len(anfs) >= 700
+        by_weight = {}
+        for anf in anfs:
+            by_weight.setdefault(sum(f.bit_count() for f in bit_indices(anf)), []).append(anf)
+
+        def reversed_bits(anf):
+            return int(f'{anf:016b}'[::-1], 2)
+
+        def tuple_order(anf):
+            return tuple(_members(anf))
+
+        for group in by_weight.values():
+            assert sorted(group, key=reversed_bits, reverse=True) == sorted(group, key=tuple_order)
+        # across classes a tuple can be a prefix of another, and the rule fails
+        assert sorted(anfs, key=reversed_bits, reverse=True) != sorted(anfs, key=tuple_order)
+        # the full-scan reference's table-built key is the same order
+        assert sorted(anfs, key=_monomial_tuple) == sorted(anfs, key=tuple_order)
 
 
 class TestInfer:
