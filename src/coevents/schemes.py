@@ -53,15 +53,12 @@ ideal
     is one 2^k-bit column, and the columns are summed by ripple carry into
     a few bit planes of complexities, whose weight classes also give the
     bound: a list, built once, pairs each weight with the elements held by
-    candidates no heavier.  A class is scanned by ascending tuples of
-    monomial masks.  In one class no tuple is a proper prefix of another,
-    as the extra monomials would add degree, so the set holding the lowest
-    differing monomial comes first: descending order of the transform with
-    its 2^n bits reversed, an order that holds within one class only.
-    Truth tables (one 2^n-bit integer each) and reversed transforms are
-    built only for the weight classes the search reaches: a few hundred of
-    up to 32,767 candidates at n = 4.  Both are linear in c, so each joins
-    two half-table entries, for the low k // 2 bits of c and the rest.
+    candidates no heavier.  A class is scanned by descending truth table;
+    as no candidate weighs 0, the order within a class moves only the
+    search's node count.  Truth tables (one 2^n-bit integer each) are
+    built only for the weight classes the search reaches: a few hundred
+    of up to 32,767 candidates at n = 4.  A table is linear in c, so each
+    joins two half-table entries, for the low k // 2 bits of c and the rest.
     Polynomials as monomial sets are built, and rendered once, only for the
     members of optimal sets.  All minimum-weight generating sets are found;
     the unital members form the result and the full sets are reported
@@ -77,7 +74,7 @@ from itertools import product
 from math import prod
 
 from . import measure
-from .coevent import Coevent, _anf, _lacking, monomial
+from .coevent import Coevent, _lacking, monomial
 from .events import Event, _check_guard, _Record, bit_indices, canonical_key
 from .measure import PreclusionSet
 
@@ -330,10 +327,9 @@ def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
     universe = _universe(preclusions)
 
     # candidates: every nonzero preclusive coevent, i.e. every nonzero truth
-    # table inside the universe, scanned by complexity and then by ascending
-    # monomial masks: within one class, by descending bit-reversed ANF (see
-    # the module docstring).  All are weighed at once; a weight class becomes
-    # truth tables only when the scan first reaches it.
+    # table inside the universe, scanned by complexity and then by descending
+    # table.  All are weighed at once; a weight class becomes truth tables
+    # only when the scan first reaches it.
     elements = list(bit_indices(universe))
     k = len(elements)
     classes = _weight_classes(elements, n)
@@ -345,17 +341,13 @@ def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
             reached |= sum(1 << e for e, lacking in zip(elements, _lacking(k))
                            if mask & ~lacking)
             reach.append((w, reached))
-    # a candidate's truth table and ANF are GF(2)-linear in its bits, so
-    # both come from two half-tables, over its low h bits and its high bits;
-    # the ANF is kept bit-reversed over the 2^n monomials, itself linear
+    # half-tables over the low h bits of c and the rest (see the module docstring)
     h = k // 2
     low = (1 << h) - 1
-    tt_lo, tt_hi, anf_lo, anf_hi = [0], [0], [0], [0]
+    tt_lo, tt_hi = [0], [0]
     for j, e in enumerate(elements):
-        single = int(f'{_anf(1 << e, n):0{1 << n}b}'[::-1], 2)
-        tts, anfs = (tt_lo, anf_lo) if j < h else (tt_hi, anf_hi)
+        tts = tt_lo if j < h else tt_hi
         tts.extend([t | 1 << e for t in tts])
-        anfs.extend([a ^ single for a in anfs])
     pending = classes[::-1]  # the classes not yet built, lightest last
     weights: list[int] = []
     covers: list[int] = []
@@ -370,9 +362,8 @@ def ideal_scheme(preclusions: PreclusionSet) -> SchemeResult:
                            and weight + pending[-1][0] > best_weight):
             return False
         w, mask = pending.pop()
-        block = sorted(((anf_lo[c & low] ^ anf_hi[c >> h], tt_lo[c & low] | tt_hi[c >> h])
-                        for c in bit_indices(mask)), reverse=True)
-        covers.extend(tt for _, tt in block)
+        block = [tt_lo[c & low] | tt_hi[c >> h] for c in bit_indices(mask)]
+        covers.extend(reversed(block))  # as the elements ascend, so do c's tables
         weights.extend([w] * len(block))
         return True
 
